@@ -326,7 +326,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 table.write(fh, with_timestamp=not args.no_meta)
         else:
             table.write(sys.stdout, with_timestamp=not args.no_meta)
-    except (ExperimentError, OSError, ValueError) as exc:
+    except (ExperimentError, OSError, ValueError, ArithmeticError) as exc:
         print(f"cluster-bench: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -10,6 +10,7 @@ transpose criterion (equivalent for two qubits).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -85,43 +86,33 @@ def averaged_pair_state(
     i, j = pair
     if not (1 <= i < j <= n):
         raise ValueError(f"pair {pair} must satisfy 1 <= i < j <= {n}")
+    return _pinned_pair_state(n, [_doubled_transfer(dist)] * (n - 1), pair)
 
-    # transfer matrix over (z_k, z_k') -> (z_{k+1}, z_{k+1}')
+
+def _doubled_transfer(dist: PhaseDistribution) -> np.ndarray:
+    """Edge transfer matrix over (z_k, z_k') -> (z_{k+1}, z_{k+1}')."""
     t = np.empty((4, 4), dtype=complex)
-    for p in (0, 1):
-        for q in (0, 1):
-            for r in (0, 1):
-                for s in (0, 1):
-                    sign = (-1.0) ** (p * r + q * s)
-                    t[2 * p + q, 2 * r + s] = sign * dist.char_value(p * r - q * s)
+    for p, q, r, s in itertools.product((0, 1), repeat=4):
+        sign = (-1.0) ** (p * r + q * s)
+        t[2 * p + q, 2 * r + s] = sign * dist.char_value(p * r - q * s)
+    return t
 
-    traced_mask = np.array([1.0, 0.0, 0.0, 1.0])  # z = z' on traced sites
 
-    def start_vector(pos: int, pin: tuple[int, int] | None) -> np.ndarray:
-        v = np.zeros(4, dtype=complex)
-        if pin is None:
-            v[0] = v[3] = 1.0
-        else:
-            v[2 * pin[0] + pin[1]] = 1.0
-        return v
-
+def _pinned_pair_state(
+    n: int, transfers: Sequence[np.ndarray], pair: tuple[int, int]
+) -> DensityMatrix:
+    """Pair state from a (z, z') walk, one transfer per edge, z = z' off the pair."""
+    i, j = pair
+    traced_mask = np.array([1.0, 0.0, 0.0, 1.0])
     rho = np.empty((4, 4), dtype=complex)
-    for a in (0, 1):
-        for b in (0, 1):
-            for a2 in (0, 1):
-                for b2 in (0, 1):
-                    pins = {i: (a, a2), j: (b, b2)}
-                    v = start_vector(1, pins.get(1))
-                    for pos in range(2, n + 1):
-                        v = t.T @ v
-                        pin = pins.get(pos)
-                        if pin is None:
-                            v = v * traced_mask
-                        else:
-                            keep = np.zeros(4)
-                            keep[2 * pin[0] + pin[1]] = 1.0
-                            v = v * keep
-                    rho[2 * a + b, 2 * a2 + b2] = v.sum() / 2.0**n
+    for a, b, a2, b2 in itertools.product((0, 1), repeat=4):
+        masks = [traced_mask] * n
+        masks[i - 1] = np.eye(4)[2 * a + a2]
+        masks[j - 1] = np.eye(4)[2 * b + b2]
+        v = masks[0].astype(complex)
+        for t, mask in zip(transfers, masks[1:]):
+            v = (t.T @ v) * mask
+        rho[2 * a + b, 2 * a2 + b2] = v.sum() / 2.0**n
     return DensityMatrix(2, rho)
 
 
@@ -157,49 +148,9 @@ def sampled_mean_concurrence(
     total = 0.0
     for k in range(n_samples):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
-        thetas = [dist.sample(rng) for _ in range(n - 1)]
-        fixed = _pair_state_fixed_thetas(n, thetas, pair)
-        total += concurrence(fixed)
+        # the reduced pair state of one noisy chain realization
+        transfers = [
+            _doubled_transfer(PhaseDistribution.fixed(t)) for t in dist.sample(rng, n - 1)
+        ]
+        total += concurrence(_pinned_pair_state(n, transfers, pair))
     return total / n_samples
-
-
-def _pair_state_fixed_thetas(
-    n: int, thetas: Sequence[float], pair: tuple[int, int]
-) -> DensityMatrix:
-    """Reduced pair state of one noisy chain realization (no averaging)."""
-    dists = [PhaseDistribution.fixed(t) for t in thetas]
-    i, j = pair
-    t_edges = []
-    for d in dists:
-        t = np.empty((4, 4), dtype=complex)
-        for p in (0, 1):
-            for q in (0, 1):
-                for r in (0, 1):
-                    for s in (0, 1):
-                        sign = (-1.0) ** (p * r + q * s)
-                        t[2 * p + q, 2 * r + s] = sign * d.char_value(p * r - q * s)
-        t_edges.append(t)
-    traced_mask = np.array([1.0, 0.0, 0.0, 1.0])
-    rho = np.empty((4, 4), dtype=complex)
-    for a in (0, 1):
-        for b in (0, 1):
-            for a2 in (0, 1):
-                for b2 in (0, 1):
-                    pins = {i: (a, a2), j: (b, b2)}
-                    v = np.zeros(4, dtype=complex)
-                    pin = pins.get(1)
-                    if pin is None:
-                        v[0] = v[3] = 1.0
-                    else:
-                        v[2 * pin[0] + pin[1]] = 1.0
-                    for pos in range(2, n + 1):
-                        v = t_edges[pos - 2].T @ v
-                        pin = pins.get(pos)
-                        if pin is None:
-                            v = v * traced_mask
-                        else:
-                            keep = np.zeros(4)
-                            keep[2 * pin[0] + pin[1]] = 1.0
-                            v = v * keep
-                    rho[2 * a + b, 2 * a2 + b2] = v.sum() / 2.0**n
-    return DensityMatrix(2, rho)

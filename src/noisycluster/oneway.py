@@ -15,8 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple, Sequence
 
@@ -32,6 +30,7 @@ from .clusters import (
 )
 from .phasenoise import PhaseDistribution
 from .states import (
+    FORCE_PROB_ATOL,
     HADAMARD,
     IDENTITY_2,
     InputQubit,
@@ -89,6 +88,56 @@ class GateConfig:
     pattern: MeasurementPattern
     ideal_gate: np.ndarray
     output_frame: tuple[np.ndarray, ...]
+
+    @functools.cached_property
+    def _zero_branch(self) -> tuple[dict[int, np.ndarray], np.ndarray, list, list]:
+        """The all-zero branch as a tensor network, built on first use.
+
+        Returns the bra of each measured site with inline corrections folded
+        in, the decoding Paulis and frame on the outputs, the ``np.einsum``
+        sublists (sites, then edges, then the output) and the contraction path.
+        """
+        graph, pattern = self.graph, self.pattern
+        order = {site: k for k, (site, _) in enumerate(pattern.steps)}
+        key = (0,) * len(order)
+        if tuple(s for s in graph.sites if s not in order) != pattern.outputs:
+            raise ValueError("pattern does not reduce the register to the outputs")
+        if key not in pattern.decoding:
+            raise ValueError(f"no decoding entry for outcomes {key}")
+        if graph.num_sites >= 52:
+            raise ValueError("np.einsum labels cap the contraction at 51 sites")
+        # an inline correction C on a live site turns its later bra into <0| C;
+        # on an output it acts before the decoding
+        ops = {site: IDENTITY_2 for site in graph.sites}
+        for k, (site, _) in enumerate(pattern.steps):
+            for corr in (c for c in pattern.corrections if c.after_site == site):
+                if order.get(corr.target_site, k + 1) <= k:
+                    raise ValueError(f"correction targets measured site {corr.target_site}")
+                ops[corr.target_site] = corr.matrix @ ops[corr.target_site]
+        bras = {}
+        for site, basis in pattern.steps:
+            if basis.axis == "z":
+                bra = np.array([1.0, 0.0])
+            else:
+                bra = np.array([1.0, np.exp(-1j * basis.alpha)]) / math.sqrt(2.0)
+            bras[site] = bra @ ops[site]
+        decode = np.ones((1, 1))
+        for site, (x_exp, z_exp), frame in zip(
+            pattern.outputs, pattern.decoding[key], self.output_frame
+        ):
+            local = frame @ (PAULI_Z if z_exp else IDENTITY_2)
+            decode = np.kron(decode, local @ (PAULI_X if x_exp else IDENTITY_2) @ ops[site])
+        # sublist labels: site k is k, the batch axis is num_sites
+        pos = {site: k for k, site in enumerate(graph.sites)}
+        batch = graph.num_sites
+        labels = [[k] for k in range(batch)]
+        labels += [[batch, pos[a], pos[b]] for a, b in graph.edges]
+        labels.append([batch] + [pos[s] for s in pattern.outputs])
+        # the path is fixed for 64 rows; any row count contracts along it
+        probe = [_PLUS] * batch + [np.ones((64, 2, 2))] * len(graph.edges)
+        probe_operands = itertools.chain(*zip(probe, labels), [labels[-1]])
+        path = np.einsum_path(*probe_operands, optimize="greedy")[0]
+        return bras, decode, labels, path
 
 
 class GateRun(NamedTuple):
@@ -286,6 +335,26 @@ def _merge_thetas(
     return replace(graph, edge_theta=merged)
 
 
+def _forced_outcomes(
+    outcomes: str | Sequence[int], count: int, rng: np.random.Generator | None
+) -> tuple[int, ...] | None:
+    """Outcomes to force, one per measurement, or None to sample them with ``rng``."""
+    if isinstance(outcomes, str):
+        if outcomes == "zero":
+            return (0,) * count
+        if outcomes != "sample":
+            raise ValueError(f"unknown outcomes mode {outcomes!r}")
+        if rng is None:
+            raise ValueError("sampling outcomes needs rng=")
+        return None
+    forced = tuple(int(b) for b in outcomes)
+    if len(forced) != count:
+        raise ValueError("one outcome per measurement required")
+    if any(b not in (0, 1) for b in forced):
+        raise ValueError("forced outcome must be 0 or 1")
+    return forced
+
+
 def run_gate(
     config: GateConfig,
     inputs: Mapping[int, InputQubit],
@@ -303,22 +372,7 @@ def run_gate(
     """
     if set(inputs) != set(config.input_sites):
         raise ValueError(f"inputs must cover sites {config.input_sites}")
-    sampling = isinstance(outcomes, str) and outcomes == "sample"
-    if sampling and rng is None:
-        raise ValueError("sampling outcomes needs rng=")
-    forced: Sequence[int] | None
-    if isinstance(outcomes, str):
-        if outcomes == "zero":
-            forced = (0,) * len(config.pattern.steps)
-        elif outcomes == "sample":
-            forced = None
-        else:
-            raise ValueError(f"unknown outcomes mode {outcomes!r}")
-    else:
-        forced = tuple(int(b) for b in outcomes)
-        if len(forced) != len(config.pattern.steps):
-            raise ValueError("one outcome per pattern step required")
-
+    forced = _forced_outcomes(outcomes, len(config.pattern.steps), rng)
     graph = _merge_thetas(config.graph, thetas)
     state = build_cluster(graph, inputs)
     live = list(graph.sites)
@@ -365,42 +419,57 @@ def _logical_input_state(config: GateConfig, inputs: Mapping[int, InputQubit]) -
     return vec
 
 
+# --- postselected patterns as tensor networks -------------------------------
+#
+# The all-zero branch of a pattern on a noisy cluster is a small tensor
+# network: every site contributes a 2-vector over its computational bit (its
+# input or |+>, times its measurement bra), every edge the noisy gate tensor
+# [[1, 1], [1, -e^{i theta}]] with a leading batch axis, one row of phases
+# per sample, and the output legs stay open.
+
+_PLUS = InputQubit.plus().as_array()
+
+
+def _zero_branch_fidelities(
+    config: GateConfig, inputs: Mapping[int, InputQubit], thetas: np.ndarray
+) -> np.ndarray:
+    """Fidelity of the decoded all-zero branch for each row of edge phases.
+
+    ``thetas`` has one row per sample and one column per edge of
+    ``config.graph.edges``. A branch of probability below
+    ``FORCE_PROB_ATOL`` cannot be realized and raises ``ValueError``.
+    """
+    if set(inputs) != set(config.input_sites):
+        raise ValueError(f"inputs must cover sites {config.input_sites}")
+    bras, decode, labels, path = config._zero_branch
+    vectors = [
+        (inputs[s].as_array() if s in inputs else _PLUS) * bras.get(s, 1.0)
+        for s in config.graph.sites
+    ]
+    edges = np.ones(thetas.shape + (2, 2), dtype=complex)
+    edges[..., 1, 1] = -np.exp(1j * thetas)
+    operands = zip(vectors + list(np.moveaxis(edges, 1, 0)), labels)
+    out = np.einsum(*itertools.chain(*operands), labels[-1], optimize=path)
+    out = out.reshape(len(thetas), -1)
+    probability = np.einsum("bi,bi->b", out.conj(), out).real
+    if np.any(probability < FORCE_PROB_ATOL):
+        raise ValueError(f"all-zero branch has probability {probability.min():.3e}")
+    target = decode.conj().T @ config.ideal_gate @ _logical_input_state(config, inputs)
+    return np.abs(out @ target.conj()) ** 2 / probability
+
+
 def gate_fidelity_once(
     config: GateConfig,
     inputs: Mapping[int, InputQubit],
     thetas: Mapping[tuple[int, int], float] | None = None,
 ) -> float:
-    """|<ideal output| postselected noisy output>|^2 for one theta draw."""
-    run = run_gate(config, inputs, thetas, outcomes="zero")
-    ideal = config.ideal_gate @ _logical_input_state(config, inputs)
-    return float(abs(np.vdot(ideal, run.state.amplitudes)) ** 2)
+    """|<ideal output| postselected noisy output>|^2 for one theta draw.
 
-
-def _sample_thetas(
-    graph: ClusterGraph, dist: PhaseDistribution, rng: np.random.Generator
-) -> dict[tuple[int, int], float]:
-    # edges are drawn in ascending order, which pins the sample stream
-    return {e: dist.sample(rng) for e in graph.edges}
-
-
-def _fidelity_for_index(
-    config: GateConfig,
-    inputs: Mapping[int, InputQubit],
-    dist: PhaseDistribution,
-    master_seed: int,
-    k: int,
-) -> float:
-    rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(k,)))
-    thetas = _sample_thetas(config.graph, dist, rng)
-    return gate_fidelity_once(config, inputs, thetas)
-
-
-def _fidelity_chunk(args) -> list[tuple[int, float]]:
-    config, inputs, dist, master_seed, indices = args
-    return [
-        (k, _fidelity_for_index(config, inputs, dist, master_seed, k))
-        for k in indices
-    ]
+    Edges missing from ``thetas`` keep the graph's own deviation.
+    """
+    merged = _merge_thetas(config.graph, thetas).edge_theta
+    row = np.array([[merged[e] for e in config.graph.edges]])
+    return float(_zero_branch_fidelities(config, inputs, row)[0])
 
 
 def _stats_from_samples(values: np.ndarray, seed: int) -> SampleStats:
@@ -418,32 +487,19 @@ def gate_fidelity_mc(
     dist: PhaseDistribution,
     n_samples: int,
     master_seed: int,
-    n_workers: int | None = None,
 ) -> SampleStats:
     """Monte Carlo mean gate fidelity under i.i.d. edge deviations.
 
-    Sample k draws its thetas from a generator seeded by
-    (master_seed, spawn_key=(k,)) and samples are reduced in ascending k, so
-    the result is bit-identical for any worker count.
+    Sample k draws one phase per edge, edges ascending, from a generator
+    seeded by (master_seed, spawn_key=(k,)); all samples are then scored
+    in one batched contraction of the postselected pattern.
     """
-    if n_workers is None:
-        n_workers = min(4, os.cpu_count() or 1)
-    values = np.empty(n_samples, dtype=float)
-    if n_workers <= 1 or n_samples < 64:
-        for k in range(n_samples):
-            values[k] = _fidelity_for_index(config, inputs, dist, master_seed, k)
-    else:
-        chunks = np.array_split(np.arange(n_samples), n_workers * 4)
-        jobs = [
-            (config, dict(inputs), dist, master_seed, chunk.tolist())
-            for chunk in chunks
-            if len(chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            for part in pool.map(_fidelity_chunk, jobs):
-                for k, f in part:
-                    values[k] = f
-    return _stats_from_samples(values, master_seed)
+    edges = config.graph.edges
+    thetas = np.empty((n_samples, len(edges)))
+    for k in range(n_samples):
+        rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(k,)))
+        thetas[k] = dist.sample(rng, len(edges))
+    return _stats_from_samples(_zero_branch_fidelities(config, inputs, thetas), master_seed)
 
 
 # --- pattern search ----------------------------------------------------------
@@ -575,40 +631,38 @@ def wire_transfer(
 ) -> tuple[PureState, float]:
     """Teleport a qubit along an n-site chain by X-measuring sites 1..n-1.
 
-    The branch correction is derived once per (n, outcomes) at zero noise on
-    a fixed generic reference input and cached. Returns the corrected output
-    qubit and its fidelity |<input|output>|^2.
+    Only the head of the chain is ever measured, so the qubit is carried as
+    one 2-vector, updated once per measured site; Born sampling draws one
+    ``rng.random()`` per site, as ``states.measure`` does. The branch
+    correction is derived once per (n, outcomes) at zero noise on a fixed
+    generic reference input and cached. Returns the corrected output qubit
+    and its fidelity |<input|output>|^2.
     """
     if n < 2:
         raise ValueError("wire needs at least 2 sites")
     thetas = [0.0] * (n - 1) if thetas is None else list(thetas)
     if len(thetas) != n - 1:
         raise ValueError(f"expected {n - 1} thetas")
-    if isinstance(outcomes, str):
-        if outcomes == "zero":
-            forced: Sequence[int] | None = (0,) * (n - 1)
-        elif outcomes == "sample":
-            if rng is None:
-                raise ValueError("sampling outcomes needs rng=")
-            forced = None
-        else:
-            raise ValueError(f"unknown outcomes mode {outcomes!r}")
-    else:
-        forced = tuple(int(b) for b in outcomes)
-        if len(forced) != n - 1:
-            raise ValueError("one outcome per measured site required")
-
-    graph = chain_graph(n, thetas)
-    state = build_cluster(graph, {1: input_qubit})
+    forced = _forced_outcomes(outcomes, n - 1, rng)
+    # X-measuring the head site with outcome s leaves its neighbor, still
+    # entangled with the rest of the chain, in the state
+    # 1/2 [v0 + (-1)^s v1, v0 - (-1)^s e^{i theta} v1]
+    v0, v1 = complex(input_qubit.amp0), complex(input_qubit.amp1)
     realized = []
-    for k in range(n - 1):
-        if forced is None:
-            out, _, state = measure(state, 1, MeasurementBasis.x(), rng=rng)
-        else:
-            out, _, state = measure(state, 1, MeasurementBasis.x(), force=forced[k])
+    for k, theta in enumerate(thetas):
+        phase = complex(math.cos(theta), math.sin(theta))
+        w0 = (0.5 * (v0 + v1), 0.5 * (v0 - phase * v1))
+        w1 = (0.5 * (v0 - v1), 0.5 * (v0 + phase * v1))
+        p0 = (abs(w0[0]) ** 2 + abs(w0[1]) ** 2) / (abs(v0) ** 2 + abs(v1) ** 2)
+        p0 = min(max(p0, 0.0), 1.0)
+        out = (0 if rng.random() < p0 else 1) if forced is None else forced[k]
+        prob = p0 if out == 0 else 1.0 - p0
+        if prob < FORCE_PROB_ATOL:
+            raise ValueError(f"outcome {out} has probability {prob:.3e}, cannot realize")
+        v0, v1 = (w / math.sqrt(prob) for w in (w0 if out == 0 else w1))
         realized.append(out)
     corr = _wire_correction(n, tuple(realized))
-    state = corr.apply(state)
+    state = corr.apply(PureState(1, np.array([v0, v1])))
     fid = float(abs(np.vdot(input_qubit.as_array(), state.amplitudes)) ** 2)
     return state, fid
 
@@ -624,8 +678,7 @@ def wire_fidelity_mc(
     values = np.empty(n_samples, dtype=float)
     for k in range(n_samples):
         rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(k,)))
-        thetas = [dist.sample(rng) for _ in range(n - 1)]
-        _, values[k] = wire_transfer(n, input_qubit, thetas)
+        _, values[k] = wire_transfer(n, input_qubit, dist.sample(rng, n - 1))
     return _stats_from_samples(values, master_seed)
 
 

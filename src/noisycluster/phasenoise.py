@@ -65,13 +65,15 @@ class PhaseDistribution:
             return complex(math.exp(-0.5 * (k * self.param) ** 2))
         return complex(np.exp(1j * k * self.param))
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, rng: np.random.Generator, size: int | None = None) -> float | np.ndarray:
+        """One draw, or an array equal to ``size`` single draws in turn."""
         if self.kind == "flat":
-            half = 0.5 * self.param
-            return float(rng.uniform(-half, half))
-        if self.kind == "gaussian":
-            return float(rng.normal(0.0, self.param))
-        return self.param
+            draw = rng.uniform(-0.5 * self.param, 0.5 * self.param, size)
+        elif self.kind == "gaussian":
+            draw = rng.normal(0.0, self.param, size)
+        else:
+            draw = np.full(() if size is None else size, self.param)
+        return float(draw) if size is None else draw
 
 
 @dataclass(frozen=True)
@@ -141,8 +143,8 @@ def dephasing_fidelity(family: str, n: int, gamma: float) -> float:
     Families: ``single_plus`` (n = 1), ``ghz`` and ``w`` (n >= 3),
     ``linear_cluster`` (n >= 2 sites), ``square_cluster`` (n >= 1 is the grid
     side, n*n qubits). The cluster forms are binomial sums
-    2^-N sum_h C(N, h) e^{-gamma h}, which close to ((1 + e^-gamma)/2)^N; both
-    routes are evaluated and must agree.
+    2^-N sum_h C(N, h) e^{-gamma h}, which close to ((1 + e^-gamma)/2)^N; the
+    closed form is evaluated (the tests check it against the sum).
 
     Note: at gamma = 0.062 a 25-site linear cluster gives 0.4662704616,
     which is the value used in tests (a figure caption quoting 0.5 for
@@ -172,11 +174,5 @@ def dephasing_fidelity(family: str, n: int, gamma: float) -> float:
             if n < 1:
                 raise ValueError("square cluster side must be >= 1")
             size = n * n
-        binomial = sum(
-            math.comb(size, h) * math.exp(-gamma * h) for h in range(size + 1)
-        ) / 2.0**size
-        closed = (0.5 * (1.0 + g)) ** size
-        if abs(binomial - closed) > 1e-12 * max(1.0, closed):
-            raise AssertionError("binomial and closed dephasing forms disagree")
-        return closed
+        return (0.5 * (1.0 + g)) ** size
     raise ValueError(f"unknown family {family!r}; pick one of {DEPHASING_FAMILIES}")

@@ -33,6 +33,7 @@ from noisycluster.oneway import (
     config_cnot15,
     config_cnot16_bridged,
     gate_fidelity_mc,
+    gate_fidelity_once,
     run_gate,
     wire_fidelity_mc,
     wire_transfer,
@@ -241,9 +242,7 @@ def test_criterion_06_noisy_cnot_ordering():
     for cfg in (config_cnot4(), config_cnot15(), config_cnot16_bridged()):
         inputs = {site: CNOT_INPUT for site in cfg.input_sites}
         results[cfg.name] = [
-            gate_fidelity_mc(
-                cfg, inputs, PhaseDistribution.gaussian(float(s)), 2000, 42, n_workers=1
-            )
+            gate_fidelity_mc(cfg, inputs, PhaseDistribution.gaussian(float(s)), 2000, 42)
             for s in grid
         ]
     elapsed = time.perf_counter() - t0
@@ -420,13 +419,19 @@ def test_criterion_10_determinism_and_rederived_constants(tmp_path, capsys):
         cli_ok &= paths[0].read_bytes() == paths[1].read_bytes()
     capsys.readouterr()
 
-    # worker-count invariance of the Monte Carlo reduction
+    # Monte Carlo reruns are identical, and the batched contraction agrees
+    # with one gate_fidelity_once per sample of the same stream
     cfg = config_cnot4()
     inputs = {1: InputQubit.plus(), 3: InputQubit.plus()}
     dist = PhaseDistribution.gaussian(0.6)
-    serial = gate_fidelity_mc(cfg, inputs, dist, 64, 123, n_workers=1)
-    pooled = gate_fidelity_mc(cfg, inputs, dist, 64, 123, n_workers=3)
-    worker_ok = serial.mean == pooled.mean and serial.stderr == pooled.stderr
+    first = gate_fidelity_mc(cfg, inputs, dist, 64, 123)
+    rerun_ok = first == gate_fidelity_mc(cfg, inputs, dist, 64, 123)
+    once = []
+    for k in range(64):
+        rng = np.random.default_rng(np.random.SeedSequence(123, spawn_key=(k,)))
+        thetas = {e: dist.sample(rng) for e in cfg.graph.edges}
+        once.append(gate_fidelity_once(cfg, inputs, thetas))
+    once_ok = abs(first.mean - np.mean(once)) <= 1e-12
 
     # pinned constants re-derived by brute force:
     # (a) cnot4 decoding by exhaustive Pauli search per outcome branch
@@ -484,8 +489,9 @@ def test_criterion_10_determinism_and_rederived_constants(tmp_path, capsys):
 
     check(
         10,
-        cli_ok and worker_ok and decode_ok and frozen_ok and prob_ok and wire_ok,
-        "CLI reruns byte-identical; Monte Carlo identical for 1 and 3 workers; "
+        cli_ok and rerun_ok and once_ok and decode_ok and frozen_ok and prob_ok and wire_ok,
+        "CLI reruns byte-identical; Monte Carlo reruns identical and the batched "
+        "mean within 1e-12 of a per-sample gate_fidelity_once loop; "
         "pinned constants reproduced by brute force (cnot4 decoding via "
         "exhaustive Pauli search, dephasing spot values via dense simulation, "
         "squashed-I branch probability 2^-13, single-edge wire closed form)",

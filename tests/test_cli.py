@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from noisycluster import cli
 from noisycluster.cli import (
     CNOT_INPUT,
     ExperimentError,
@@ -144,6 +145,35 @@ def test_fig_dephasing_rows(capsys):
         assert value == pytest.approx(
             dephasing_fidelity(family, int(n), 0.062), abs=1e-12
         )
+
+
+def test_fig_dephasing_largest_square(capsys):
+    # a 32 x 32 square cluster has 1024 qubits, past a float's 2.0**1023
+    code, out, err = run_cli(capsys, "fig-dephasing", "--nmax", "32", "--no-meta")
+    assert code == 0, err
+    rows = data_rows(out, "family,N,gamma,fidelity")
+    assert len(rows) == 4 * 30
+    g = math.exp(-0.062)
+    closed = {
+        "w": lambda n: (1.0 + (n - 1) * g**2) / n,
+        "ghz": lambda n: 0.5 * (1.0 + g**n),
+        "linear_cluster": lambda n: (0.5 * (1.0 + g)) ** n,
+        "square_cluster": lambda n: (0.5 * (1.0 + g)) ** (n * n),
+    }
+    for family, n, gamma, value in rows:
+        assert float(gamma) == 0.062
+        assert float(value) == pytest.approx(closed[family](int(n)), rel=1e-11)
+
+
+def test_exit_two_for_arithmetic_faults(capsys, monkeypatch):
+    def overflow(params):
+        raise OverflowError("math range error")
+
+    monkeypatch.setitem(cli._RUNNERS, "fig-noise", overflow)
+    code, out, err = run_cli(capsys, "fig-noise")
+    assert code == 2
+    assert err.startswith("cluster-bench:")
+    assert "Traceback" not in err + out
 
 
 def test_fig_noise_spot_rows(capsys):

@@ -1,12 +1,16 @@
 """Tests for measurement-based gate patterns, wires and their Monte Carlo."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from noisycluster.clusters import chain_graph, ClusterGraph
+from noisycluster import oneway
+from noisycluster.clusters import build_cluster, chain_graph, ClusterGraph
 from noisycluster.oneway import (
+    GateConfig,
     GateRun,
     MeasurementPattern,
     PatternSearchError,
@@ -24,7 +28,7 @@ from noisycluster.oneway import (
     wire_transfer,
 )
 from noisycluster.phasenoise import PhaseDistribution
-from noisycluster.states import HADAMARD, InputQubit, phase_z, PAULI_X
+from noisycluster.states import HADAMARD, InputQubit, MeasurementBasis, measure, phase_z, PAULI_X
 
 SEED = 61507
 
@@ -301,6 +305,60 @@ def test_wire_guards():
         wire_transfer(3, q, outcomes="typo")
 
 
+# --- the 2-vector wire step against the dense engine -------------------------
+
+
+def dense_wire(n, input_qubit, thetas, *, outcomes=None, rng=None):
+    """The dense build_cluster/measure loop wire_transfer used to run."""
+    state = build_cluster(chain_graph(n, thetas), {1: input_qubit})
+    realized = []
+    for k in range(n - 1):
+        if outcomes is None:
+            out, _, state = measure(state, 1, MeasurementBasis.x(), rng=rng)
+        else:
+            out, _, state = measure(state, 1, MeasurementBasis.x(), force=outcomes[k])
+        realized.append(out)
+    state = oneway._wire_correction(n, tuple(realized)).apply(state)
+    return tuple(realized), abs(np.vdot(input_qubit.as_array(), state.amplitudes)) ** 2
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_wire_step_matches_dense_on_every_forced_branch(n):
+    rng = np.random.default_rng(SEED + n)
+    for outcomes in itertools.product((0, 1), repeat=n - 1):
+        q = random_input(rng)
+        thetas = rng.normal(0.0, 0.7, n - 1)
+        _, fid = wire_transfer(n, q, thetas, outcomes=outcomes)
+        assert fid == pytest.approx(dense_wire(n, q, thetas, outcomes=outcomes)[1], abs=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_wire_step_matches_dense_born_sampling(n, monkeypatch):
+    realized = []
+    derive = oneway._wire_correction
+    monkeypatch.setattr(
+        oneway, "_wire_correction", lambda n, outs: realized.append(outs) or derive(n, outs)
+    )
+    rng = np.random.default_rng(SEED - n)
+    for seed in range(16):
+        q = random_input(rng)
+        thetas = rng.normal(0.0, 0.7, n - 1)
+        _, fid = wire_transfer(
+            n, q, thetas, outcomes="sample", rng=np.random.default_rng(seed)
+        )
+        dense_outcomes, dense_fid = dense_wire(n, q, thetas, rng=np.random.default_rng(seed))
+        assert realized.pop() == dense_outcomes
+        assert fid == pytest.approx(dense_fid, abs=1e-12)
+
+
+def test_wire_zero_probability_branch_raises():
+    # theta = pi switches the edge off, leaving site 1 in |+>: outcome 1 never occurs
+    with pytest.raises(ValueError, match="probability"):
+        wire_transfer(2, InputQubit.plus(), [math.pi], outcomes=(1,))
+    with pytest.raises(ValueError):
+        wire_transfer(3, InputQubit.plus(), outcomes=(0, 2))
+
+
 def test_wire_fidelity_mc_matches_manual_stream():
     n, samples = 3, 24
     dist = PhaseDistribution.gaussian(0.5)
@@ -375,17 +433,84 @@ def test_gate_fidelity_once_zero_noise():
         assert gate_fidelity_once(cfg, inputs) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_gate_fidelity_mc_deterministic_and_worker_invariant():
+# --- the batched contraction against the dense engine ------------------------
+
+
+def dense_fidelities(config, inputs, thetas):
+    """Per-row fidelities from the dense engine, the oracle for the contraction."""
+    ideal = config.ideal_gate @ np.kron(*(inputs[s].as_array() for s in config.input_sites))
+    out = []
+    for row in thetas:
+        run = run_gate(config, inputs, dict(zip(config.graph.edges, row)))
+        out.append(abs(np.vdot(ideal, run.state.amplitudes)) ** 2)
+    return np.array(out)
+
+
+def ring_cnot4():
+    """cnot4 with its chain closed into a ring: a graph with a cycle."""
+    cfg = config_cnot4()
+    ring = ClusterGraph(cfg.graph.sites, cfg.graph.edges + ((1, 4),), {}, {})
+    return dataclasses.replace(cfg, name="cnot4_ring", graph=ring)
+
+
+@pytest.mark.parametrize("sigma", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("make", [config_cnot4, config_cnot15, config_cnot16_bridged, ring_cnot4])
+def test_contraction_matches_dense_run_gate(make, sigma):
+    cfg = make()
+    rng = np.random.default_rng(SEED)
+    inputs = {site: random_input(rng) for site in cfg.input_sites}
+    thetas = rng.normal(0.0, sigma, (32, len(cfg.graph.edges)))
+    got = oneway._zero_branch_fidelities(cfg, inputs, thetas)
+    np.testing.assert_allclose(got, dense_fidelities(cfg, inputs, thetas), rtol=0, atol=1e-12)
+
+
+def test_gate_fidelity_once_theta_handling():
+    cfg = config_cnot4()
+    inputs = {1: InputQubit.plus(), 3: InputQubit.zero()}
+    with pytest.raises(ValueError):
+        gate_fidelity_once(cfg, inputs, {(1, 3): 0.3})
+    with pytest.raises(ValueError):
+        gate_fidelity_once(cfg, {1: InputQubit.plus()})
+    # unordered edge keys; unlisted edges keep the graph's own deviation
+    noisy = dataclasses.replace(cfg, graph=chain_graph(4, [0.0, 0.4, 0.9]))
+    assert gate_fidelity_once(noisy, inputs, {(2, 1): 0.7}) == pytest.approx(
+        dense_fidelities(cfg, inputs, [[0.7, 0.4, 0.9]])[0], abs=1e-12
+    )
+
+
+def test_contraction_site_cap():
+    # np.einsum has 52 labels: 51 sites and the batch axis
+    steps = tuple((site, MeasurementBasis.x()) for site in range(1, 51))
+    pattern = MeasurementPattern(steps, (51, 52), {(0,) * 50: ((0, 0), (0, 0))})
+    cfg = GateConfig("chain52", chain_graph(52), (1, 2), pattern, np.eye(4), (HADAMARD,) * 2)
+    with pytest.raises(ValueError, match="51 sites"):
+        gate_fidelity_once(cfg, {1: InputQubit.plus(), 2: InputQubit.plus()})
+
+
+def test_gate_zero_probability_branch_raises():
+    # theta = pi switches edge (1, 2) off, so site 1 keeps its |-> input and
+    # the all-zero branch (X outcome 0 on site 1) has probability 0
+    inputs = {1: InputQubit.minus(), 3: InputQubit.zero()}
+    with pytest.raises(ValueError):
+        run_gate(config_cnot4(), inputs, {(1, 2): math.pi})
+    with pytest.raises(ValueError, match="probability"):
+        gate_fidelity_once(config_cnot4(), inputs, {(1, 2): math.pi})
+
+
+def test_gate_fidelity_mc_deterministic_and_matches_once():
     cfg = config_cnot4()
     inputs = {1: InputQubit.plus(), 3: InputQubit.plus()}
     dist = PhaseDistribution.gaussian(0.6)
-    serial = gate_fidelity_mc(cfg, inputs, dist, 64, SEED, n_workers=1)
-    again = gate_fidelity_mc(cfg, inputs, dist, 64, SEED, n_workers=1)
-    assert serial == again
-    parallel = gate_fidelity_mc(cfg, inputs, dist, 64, SEED, n_workers=2)
-    assert serial.mean == parallel.mean
-    assert serial.stderr == parallel.stderr
-    assert 0.0 < serial.mean < 1.0
+    first = gate_fidelity_mc(cfg, inputs, dist, 64, SEED)
+    assert first == gate_fidelity_mc(cfg, inputs, dist, 64, SEED)
+    # the batched contraction against one gate_fidelity_once per sample
+    once = []
+    for k in range(64):
+        rng = np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(k,)))
+        thetas = {e: dist.sample(rng) for e in cfg.graph.edges}
+        once.append(gate_fidelity_once(cfg, inputs, thetas))
+    assert first.mean == pytest.approx(np.mean(once), abs=1e-12)
+    assert 0.0 < first.mean < 1.0
 
 
 def test_gate_fidelity_mc_needs_two_samples():

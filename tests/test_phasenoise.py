@@ -98,6 +98,25 @@ def test_char_value_matches_sampling(dist):
         assert abs(est - dist.char_value(k)) < 4.0 / math.sqrt(len(draws))
 
 
+@pytest.mark.parametrize(
+    "dist",
+    [
+        PhaseDistribution.flat(2.5),
+        PhaseDistribution.gaussian(0.8),
+        PhaseDistribution.fixed(-1.1),
+    ],
+)
+def test_sample_array_equals_successive_draws(dist):
+    # the Monte Carlo drivers draw each sample's phases as one array; the
+    # documented stream is one draw per edge in turn
+    batched, single = np.random.default_rng(SEED), np.random.default_rng(SEED)
+    for _ in range(50):
+        draws = dist.sample(batched, 7)
+        assert draws.shape == (7,)
+        assert draws.tolist() == [dist.sample(single) for _ in range(7)]
+    assert isinstance(dist.sample(single), float)
+
+
 def test_distribution_validation():
     with pytest.raises(ValueError, match="unknown distribution"):
         PhaseDistribution("triangular", 1.0)
@@ -247,6 +266,28 @@ def test_dephasing_spot_values():
     assert dephasing_fidelity("linear_cluster", 25, 0.062) == pytest.approx(
         LIN25_DEPHASED, abs=1e-12
     )
+
+
+def binomial_dephasing(size, gamma):
+    """2^-N sum_h C(N, h) e^{-gamma h}, each term in logs so none overflows."""
+    log_norm = math.lgamma(size + 1) - size * math.log(2.0)
+    return math.fsum(
+        math.exp(log_norm - math.lgamma(h + 1) - math.lgamma(size - h + 1) - gamma * h)
+        for h in range(size + 1)
+    )
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.062, 0.3, 2.0])
+def test_cluster_dephasing_matches_binomial_sum(gamma):
+    # up to 32 x 32 squares, where 2.0**N and C(N, h) overflow a float
+    for n in range(2, 33):
+        assert dephasing_fidelity("linear_cluster", n, gamma) == pytest.approx(
+            binomial_dephasing(n, gamma), rel=1e-10
+        )
+    for side in range(1, 33):
+        assert dephasing_fidelity("square_cluster", side, gamma) == pytest.approx(
+            binomial_dephasing(side * side, gamma), rel=1e-10
+        )
 
 
 def test_dephasing_square_is_linear_at_squared_size():
