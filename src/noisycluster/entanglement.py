@@ -1,11 +1,12 @@
 """Two-qubit entanglement analytics for noisy chain clusters.
 
-The phase-averaged reduced state of any site pair has closed-form entries:
-averaging the chain's density matrix over independent edge deviations turns
-each edge factor into a characteristic value, and the trace over the other
-sites is a pinned 4-state transfer-matrix contraction. Entanglement is
-quantified by the Wootters concurrence and cross-checked by the partial
-transpose criterion (equivalent for two qubits).
+Averaging a chain's density matrix over independent edge deviations turns
+each edge factor into a characteristic value, so the reduced state of a site
+pair is a contraction of 4x4 transfer matrices over bit pairs (z, z'), z = z'
+on the traced sites. Its environments are built once per chain, so all pairs
+take O(n) numpy calls, at any chain length. Entanglement is quantified by the
+Wootters concurrence and cross-checked by the partial transpose criterion
+(equivalent for two qubits), both evaluated on stacks of states.
 """
 
 from __future__ import annotations
@@ -16,11 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .phasenoise import PhaseDistribution
-from .states import DensityMatrix, PAULI_Y
+from .phasenoise import PAIR_SIGN, PhaseDistribution, pair_transfer
+from .states import DensityMatrix, PAULI_Y, check_density
 
 ENTANGLEMENT_TOL = 1e-9
 RANK_CUTOFF = 1e-14
+
+_YY = np.kron(PAULI_Y, PAULI_Y).real
+_TRACED = np.array([1.0, 0.0, 0.0, 1.0])  # z = z' on a traced site
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -33,15 +37,19 @@ def concurrence(rho: DensityMatrix) -> float:
     """
     if rho.num_qubits != 2:
         raise ValueError("concurrence is defined for two qubits")
-    yy = np.kron(PAULI_Y, PAULI_Y).real
-    w, v = np.linalg.eigh(rho.entries)
+    return float(_concurrences(rho.entries[None])[0])
+
+
+def _concurrences(rhos: np.ndarray) -> np.ndarray:
+    """Concurrence of each matrix of a (P, 4, 4) stack."""
+    w, v = np.linalg.eigh(rhos)
     w = np.clip(w, 0.0, None)
     # Roundoff-scale eigenvalues are exact zeros of a rank-deficient state.
     # Keeping them would inject sqrt(eps)-sized values into the spectrum.
     w[w < RANK_CUTOFF] = 0.0
-    factor = v * np.sqrt(w)
-    alphas = np.linalg.svd(factor.T @ yy @ factor, compute_uv=False)
-    return float(max(0.0, alphas[0] - alphas[1] - alphas[2] - alphas[3]))
+    factor = v * np.sqrt(w)[:, None, :]
+    alphas = np.linalg.svd(factor.transpose(0, 2, 1) @ _YY @ factor, compute_uv=False)
+    return np.maximum(0.0, alphas[:, 0] - alphas[:, 1] - alphas[:, 2] - alphas[:, 3])
 
 
 def ppt_min_eigenvalue(rho: DensityMatrix) -> float:
@@ -52,9 +60,13 @@ def ppt_min_eigenvalue(rho: DensityMatrix) -> float:
     """
     if rho.num_qubits != 2:
         raise ValueError("partial transpose check is defined for two qubits")
-    r = rho.entries.reshape(2, 2, 2, 2)
-    pt = np.transpose(r, (0, 3, 2, 1)).reshape(4, 4)
-    return float(np.linalg.eigvalsh(pt)[0])
+    return float(_ppt_min_eigenvalues(rho.entries[None])[0])
+
+
+def _ppt_min_eigenvalues(rhos: np.ndarray) -> np.ndarray:
+    """Smallest partial-transpose eigenvalue of each matrix of a (P, 4, 4) stack."""
+    pt = rhos.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
+    return np.linalg.eigvalsh(pt)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -70,6 +82,14 @@ class PairAnalysis:
         return self.ppt_min_eig < -ENTANGLEMENT_TOL
 
 
+def _check_pair(n: int, pair: tuple[int, int]) -> None:
+    if n < 2:
+        raise ValueError(f"chain size {n} must be at least 2")
+    i, j = pair
+    if not (1 <= i < j <= n):
+        raise ValueError(f"pair {pair} must satisfy 1 <= i < j <= {n}")
+
+
 def averaged_pair_state(
     n: int, dist: PhaseDistribution, pair: tuple[int, int]
 ) -> DensityMatrix:
@@ -77,57 +97,55 @@ def averaged_pair_state(
 
     Entry ((a, b), (a', b')) is 2^-n times the sum over the traced bit
     assignments of prod_j (-1)^{z_j z_{j+1} + z'_j z'_{j+1}}
-    char(z_j z_{j+1} - z'_j z'_{j+1}); evaluated by walking the chain with a
-    4-state (z, z') vector, pinning positions i and j and forcing z = z' on
-    traced positions.
+    char(z_j z_{j+1} - z'_j z'_{j+1}), with z = z' on the traced sites.
     """
-    if n < 2 or n > 16:
-        raise ValueError("chain size must be in [2, 16]")
-    i, j = pair
-    if not (1 <= i < j <= n):
-        raise ValueError(f"pair {pair} must satisfy 1 <= i < j <= {n}")
-    return _pinned_pair_state(n, [_doubled_transfer(dist)] * (n - 1), pair)
+    _check_pair(n, pair)
+    return DensityMatrix(2, _pair_states(n, [_doubled_transfer(dist)] * (n - 1), [pair])[0])
 
 
 def _doubled_transfer(dist: PhaseDistribution) -> np.ndarray:
     """Edge transfer matrix over (z_k, z_k') -> (z_{k+1}, z_{k+1}')."""
-    t = np.empty((4, 4), dtype=complex)
-    for p, q, r, s in itertools.product((0, 1), repeat=4):
-        sign = (-1.0) ** (p * r + q * s)
-        t[2 * p + q, 2 * r + s] = sign * dist.char_value(p * r - q * s)
-    return t
+    return pair_transfer(dist) * PAIR_SIGN
 
 
-def _pinned_pair_state(
-    n: int, transfers: Sequence[np.ndarray], pair: tuple[int, int]
-) -> DensityMatrix:
-    """Pair state from a (z, z') walk, one transfer per edge, z = z' off the pair."""
-    i, j = pair
-    traced_mask = np.array([1.0, 0.0, 0.0, 1.0])
-    rho = np.empty((4, 4), dtype=complex)
-    for a, b, a2, b2 in itertools.product((0, 1), repeat=4):
-        masks = [traced_mask] * n
-        masks[i - 1] = np.eye(4)[2 * a + a2]
-        masks[j - 1] = np.eye(4)[2 * b + b2]
-        v = masks[0].astype(complex)
-        for t, mask in zip(transfers, masks[1:]):
-            v = (t.T @ v) * mask
-        rho[2 * a + b, 2 * a2 + b2] = v.sum() / 2.0**n
-    return DensityMatrix(2, rho)
+def _pair_states(
+    n: int, transfers: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]]
+) -> np.ndarray:
+    """Reduced states of ``pairs`` of an n-site chain, one transfer per edge.
+
+    Pair (i, j) is left[i] middle(i, j) right[j] over [(z_i, z_i'), (z_j, z_j')]:
+    left[i] sums the traced sites before i, right[j] those after j, and
+    middle(i, j) = T_i D T_{i+1} ... D T_{j-1} with D = diag(1, 0, 0, 1).
+    """
+    # a factor 1/2 per edge and one at site 1 give 2^-n without forming 2.0**n
+    t = 0.5 * np.asarray(transfers)
+    left, right = [np.full(4, 0.5 + 0j)], [np.ones(4, dtype=complex)]
+    for k in range(n - 1):
+        left.append((left[-1] * _TRACED) @ t[k])
+        right.append(t[n - 2 - k] @ (_TRACED * right[-1]))
+    first, second = np.array(pairs).T - 1
+    gaps, lo = second - first, first.min()
+    middle = t[lo : first.max() + 1]  # middle[s] spans sites lo + s .. lo + s + gap
+    out = np.empty((len(pairs), 4, 4), dtype=complex)
+    for gap in range(1, gaps.max() + 1):
+        out[gaps == gap] = middle[first[gaps == gap] - lo]
+        middle = middle[: n - 1 - lo - gap]  # the start sites with a next edge
+        middle = (middle * _TRACED) @ t[lo + gap : lo + gap + len(middle)]
+    states = np.array(left)[first, :, None] * out * np.array(right[::-1])[second, None, :]
+    # [(a, a'), (b, b')] -> [(a, b), (a', b')]
+    return states.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
 
 
 def pair_scan(n: int, dist: PhaseDistribution) -> list[PairAnalysis]:
     """Analyze every site pair of an n-site chain, lexicographic order."""
-    if n > 10:
-        raise ValueError("pair scans are capped at 10 sites")
-    out = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            rho = averaged_pair_state(n, dist, (i, j))
-            out.append(
-                PairAnalysis((i, j), concurrence(rho), ppt_min_eigenvalue(rho))
-            )
-    return out
+    _check_pair(n, (1, 2))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    states = _pair_states(n, [_doubled_transfer(dist)] * (n - 1), pairs)
+    check_density(states)
+    return [
+        PairAnalysis(pair, float(c), float(e))
+        for pair, c, e in zip(pairs, _concurrences(states), _ppt_min_eigenvalues(states))
+    ]
 
 
 def sampled_mean_concurrence(
@@ -143,6 +161,7 @@ def sampled_mean_concurrence(
     as opposed to ``concurrence(averaged_pair_state(...))``, the concurrence
     of the averaged state; the two differ in general.
     """
+    _check_pair(n, pair)
     if n_samples < 1:
         raise ValueError("need at least one sample")
     total = 0.0
@@ -152,5 +171,5 @@ def sampled_mean_concurrence(
         transfers = [
             _doubled_transfer(PhaseDistribution.fixed(t)) for t in dist.sample(rng, n - 1)
         ]
-        total += concurrence(_pinned_pair_state(n, transfers, pair))
+        total += concurrence(DensityMatrix(2, _pair_states(n, transfers, [pair])[0]))
     return total / n_samples

@@ -613,12 +613,35 @@ _WIRE_REFERENCE = InputQubit(0.6, 0.8 * np.exp(1j * math.pi / 5.0))
 
 @functools.lru_cache(maxsize=None)
 def _wire_correction(n: int, outcomes: tuple[int, ...]) -> LocalCorrection:
-    graph = chain_graph(n)
-    state = build_cluster(graph, {1: _WIRE_REFERENCE})
-    for k in range(n - 1):
-        _, _, state = measure(state, 1, MeasurementBasis.x(), force=outcomes[k])
+    actual, _ = _wire_steps(_WIRE_REFERENCE, [0.0] * (n - 1), outcomes, None)
     target = PureState(1, _WIRE_REFERENCE.as_array())
-    return derive_local_correction(state, target, [1])
+    return derive_local_correction(PureState(1, actual), target, [1])
+
+
+def _wire_steps(
+    qubit: InputQubit,
+    thetas: Sequence[float],
+    forced: tuple[int, ...] | None,
+    rng: np.random.Generator | None,
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """X-measure the head site once per theta; return the last site's 2-vector
+    and the outcomes. Outcome s leaves the neighbor, still entangled with the
+    rest of the chain, in 1/2 [v0 + (-1)^s v1, v0 - (-1)^s e^{i theta} v1]."""
+    v0, v1 = complex(qubit.amp0), complex(qubit.amp1)
+    realized = []
+    for k, theta in enumerate(thetas):
+        phase = complex(math.cos(theta), math.sin(theta))
+        w0 = (0.5 * (v0 + v1), 0.5 * (v0 - phase * v1))
+        w1 = (0.5 * (v0 - v1), 0.5 * (v0 + phase * v1))
+        p0 = (abs(w0[0]) ** 2 + abs(w0[1]) ** 2) / (abs(v0) ** 2 + abs(v1) ** 2)
+        p0 = min(max(p0, 0.0), 1.0)
+        out = (0 if rng.random() < p0 else 1) if forced is None else forced[k]
+        prob = p0 if out == 0 else 1.0 - p0
+        if prob < FORCE_PROB_ATOL:
+            raise ValueError(f"outcome {out} has probability {prob:.3e}, cannot realize")
+        v0, v1 = (w / math.sqrt(prob) for w in (w0 if out == 0 else w1))
+        realized.append(out)
+    return np.array([v0, v1]), tuple(realized)
 
 
 def wire_transfer(
@@ -644,25 +667,8 @@ def wire_transfer(
     if len(thetas) != n - 1:
         raise ValueError(f"expected {n - 1} thetas")
     forced = _forced_outcomes(outcomes, n - 1, rng)
-    # X-measuring the head site with outcome s leaves its neighbor, still
-    # entangled with the rest of the chain, in the state
-    # 1/2 [v0 + (-1)^s v1, v0 - (-1)^s e^{i theta} v1]
-    v0, v1 = complex(input_qubit.amp0), complex(input_qubit.amp1)
-    realized = []
-    for k, theta in enumerate(thetas):
-        phase = complex(math.cos(theta), math.sin(theta))
-        w0 = (0.5 * (v0 + v1), 0.5 * (v0 - phase * v1))
-        w1 = (0.5 * (v0 - v1), 0.5 * (v0 + phase * v1))
-        p0 = (abs(w0[0]) ** 2 + abs(w0[1]) ** 2) / (abs(v0) ** 2 + abs(v1) ** 2)
-        p0 = min(max(p0, 0.0), 1.0)
-        out = (0 if rng.random() < p0 else 1) if forced is None else forced[k]
-        prob = p0 if out == 0 else 1.0 - p0
-        if prob < FORCE_PROB_ATOL:
-            raise ValueError(f"outcome {out} has probability {prob:.3e}, cannot realize")
-        v0, v1 = (w / math.sqrt(prob) for w in (w0 if out == 0 else w1))
-        realized.append(out)
-    corr = _wire_correction(n, tuple(realized))
-    state = corr.apply(PureState(1, np.array([v0, v1])))
+    actual, realized = _wire_steps(input_qubit, thetas, forced, rng)
+    state = _wire_correction(n, realized).apply(PureState(1, actual))
     fid = float(abs(np.vdot(input_qubit.as_array(), state.amplitudes)) ** 2)
     return state, fid
 

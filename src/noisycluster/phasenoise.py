@@ -106,13 +106,16 @@ def overlap_exact(thetas: Sequence[float]) -> complex:
     return complex(u @ v) / 2.0**n
 
 
-def _pair_transfer(dist: PhaseDistribution) -> np.ndarray:
+# Bit pairs (z, z') at index 2z + z'. From (p, q) to (r, s) an edge contributes
+# char(pr - qs); the doubled chain density matrix adds the sign (-1)^{pr+qs}.
+_Z, _Z2 = np.array([[0, 0], [0, 1], [1, 0], [1, 1]]).T
+_PAIR_CHAR_INDEX = np.outer(_Z, _Z) - np.outer(_Z2, _Z2) + 1
+PAIR_SIGN = (-1.0) ** (np.outer(_Z, _Z) + np.outer(_Z2, _Z2))
+
+
+def pair_transfer(dist: PhaseDistribution) -> np.ndarray:
     """4x4 transfer matrix for E|f|^2 over bit pairs (z, z')."""
-    t = np.empty((4, 4), dtype=complex)
-    for p, q in ((a, b) for a in (0, 1) for b in (0, 1)):
-        for r, s in ((a, b) for a in (0, 1) for b in (0, 1)):
-            t[2 * p + q, 2 * r + s] = dist.char_value(p * r - q * s)
-    return t
+    return np.array([dist.char_value(k) for k in (-1, 0, 1)])[_PAIR_CHAR_INDEX]
 
 
 def overlap_avg(dist: PhaseDistribution, n: int) -> OverlapResult:
@@ -124,7 +127,7 @@ def overlap_avg(dist: PhaseDistribution, n: int) -> OverlapResult:
     u2 = np.ones(2, dtype=complex)
     mean_overlap = complex(u2 @ np.linalg.matrix_power(m, n - 1) @ u2) / 2.0**n
 
-    t = _pair_transfer(dist)
+    t = pair_transfer(dist)
     u4 = np.ones(4, dtype=complex)
     mean_fid = complex(u4 @ np.linalg.matrix_power(t, n - 1) @ u4) / 4.0**n
     if abs(mean_fid.imag) > 1e-10:

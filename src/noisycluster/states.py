@@ -117,14 +117,20 @@ class DensityMatrix:
         d = 1 << n
         if rho.shape != (d, d):
             raise ValueError(f"shape {rho.shape} != ({d}, {d})")
-        if np.max(np.abs(rho - rho.conj().T)) > HERMITIAN_ATOL:
-            raise ValueError("density matrix not hermitian")
-        tr = complex(np.trace(rho))
-        if abs(tr - 1.0) > NORM_ATOL:
-            raise ValueError(f"trace {tr} != 1")
-        if float(np.linalg.eigvalsh(rho)[0]) < -PSD_ATOL:
-            raise ValueError("density matrix has a significantly negative eigenvalue")
+        check_density(rho)
         object.__setattr__(self, "entries", rho)
+
+
+def check_density(rho: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of the ``(..., d, d)`` stack is
+    Hermitian, unit-trace and positive semidefinite."""
+    if np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj())) > HERMITIAN_ATOL:
+        raise ValueError("density matrix not hermitian")
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    if np.max(np.abs(tr - 1.0)) > NORM_ATOL:
+        raise ValueError(f"trace {tr} != 1")
+    if np.min(np.linalg.eigvalsh(rho)[..., 0]) < -PSD_ATOL:
+        raise ValueError("density matrix has a significantly negative eigenvalue")
 
 
 @dataclass(frozen=True)

@@ -58,11 +58,14 @@ def test_exit_two_for_runtime_errors(tmp_path, capsys):
         ("fig-cnot", "--samples", "1"),
         ("fig-dephasing", "--nmax", "2"),
         ("fig-noise", "--grid", "1:0:3"),
+        ("concurrence-scan", "--n", "0"),
+        ("concurrence-scan", "--n", "-3"),
     )
     for argv in cases:
-        code, _, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("cluster-bench:")
+        assert "Traceback" not in err + out
 
 
 # --- output format -----------------------------------------------------------

@@ -4,6 +4,7 @@ The averaged reduced states are cross-checked against the dense engine:
 build a noisy chain realization, partial-trace, average over samples.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -12,13 +13,15 @@ import pytest
 from noisycluster.clusters import build_cluster, chain_graph
 from noisycluster.entanglement import (
     PairAnalysis,
+    _doubled_transfer,
+    _pair_states,
     averaged_pair_state,
     concurrence,
     pair_scan,
     ppt_min_eigenvalue,
     sampled_mean_concurrence,
 )
-from noisycluster.phasenoise import PhaseDistribution
+from noisycluster.phasenoise import PhaseDistribution, pair_transfer
 from noisycluster.states import DensityMatrix, PureState, partial_trace, pure_to_density
 
 SEED = 777
@@ -42,6 +45,32 @@ def random_two_qubit_density(rng, rank):
         v /= np.linalg.norm(v)
         rho += p * np.outer(v, v.conj())
     return DensityMatrix(2, rho)
+
+
+def char_table(dist, signed):
+    """The edge transfer entry by entry: char(pr - qs), times (-1)^{pr+qs} if signed."""
+    t = np.empty((4, 4), dtype=complex)
+    for p, q, r, s in itertools.product((0, 1), repeat=4):
+        sign = (-1.0) ** (p * r + q * s) if signed else 1.0
+        t[2 * p + q, 2 * r + s] = sign * dist.char_value(p * r - q * s)
+    return t
+
+
+def walk_pair_state(n, transfers, pair):
+    """Reference pair state: one (z, z') walk along the chain per matrix entry,
+    pinning the pair's bits and forcing z = z' on every other site."""
+    i, j = pair
+    traced_mask = np.array([1.0, 0.0, 0.0, 1.0])
+    rho = np.empty((4, 4), dtype=complex)
+    for a, b, a2, b2 in itertools.product((0, 1), repeat=4):
+        masks = [traced_mask] * n
+        masks[i - 1] = np.eye(4)[2 * a + a2]
+        masks[j - 1] = np.eye(4)[2 * b + b2]
+        v = masks[0].astype(complex)
+        for t, mask in zip(transfers, masks[1:]):
+            v = (t.T @ v) * mask
+        rho[2 * a + b, 2 * a2 + b2] = v.sum() / 2.0**n
+    return rho
 
 
 # --- concurrence and partial transpose ---
@@ -143,8 +172,6 @@ def test_averaged_pair_state_guards():
     d = PhaseDistribution.gaussian(0.5)
     with pytest.raises(ValueError, match="chain size"):
         averaged_pair_state(1, d, (1, 2))
-    with pytest.raises(ValueError, match="chain size"):
-        averaged_pair_state(17, d, (1, 2))
     with pytest.raises(ValueError, match="pair"):
         averaged_pair_state(5, d, (3, 3))
     with pytest.raises(ValueError, match="pair"):
@@ -173,9 +200,58 @@ def test_pair_scan_shape_and_consistency():
         assert a.concurrence == pytest.approx(concurrence(rho), abs=1e-12)
 
 
-def test_pair_scan_size_cap():
-    with pytest.raises(ValueError, match="capped"):
-        pair_scan(11, PhaseDistribution.gaussian(0.5))
+@pytest.mark.parametrize("n", [11, 17, 40])
+def test_long_chains_match_the_walk(n):
+    d = PhaseDistribution.gaussian(0.5)
+    transfers = [char_table(d, signed=True)] * (n - 1)
+    scan = {a.pair: a for a in pair_scan(n, d)}
+    assert len(scan) == n * (n - 1) // 2
+    for pair in ((1, 2), (1, n), (n // 2, n // 2 + 1), (3, n - 2), (n - 1, n)):
+        expect = DensityMatrix(2, walk_pair_state(n, transfers, pair))
+        np.testing.assert_allclose(averaged_pair_state(n, d, pair).entries, expect.entries, atol=1e-12)
+        assert scan[pair].concurrence == pytest.approx(concurrence(expect), abs=1e-12)
+        assert scan[pair].ppt_min_eig == pytest.approx(ppt_min_eigenvalue(expect), abs=1e-12)
+
+
+def test_pair_scan_rejects_short_chains():
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match="chain size"):
+            pair_scan(n, PhaseDistribution.gaussian(0.5))
+
+
+# --- the environment contraction ---
+
+
+def test_transfer_tables_match_char_values():
+    dists = [PhaseDistribution.flat(w) for w in (0.0, 1.3, 5.0)]
+    dists += [PhaseDistribution.gaussian(s) for s in (0.0, 0.4, 2.0)]
+    dists += [PhaseDistribution.fixed(t) for t in (0.0, 0.7, -2.9, math.pi)]
+    for d in dists:
+        assert np.array_equal(pair_transfer(d), char_table(d, signed=False))
+        assert np.array_equal(_doubled_transfer(d), char_table(d, signed=True))
+
+
+def test_pair_states_match_the_walk_per_edge():
+    # random complex transfers, not symmetric as the physical ones are, so a
+    # transposed leg or a swapped environment would show
+    rng = np.random.default_rng(SEED + 3)
+    for n in (2, 3, 7, 12):
+        transfers = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(n - 1)]
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        got = _pair_states(n, transfers, pairs)
+        for k, pair in enumerate(pairs):
+            np.testing.assert_allclose(got[k], walk_pair_state(n, transfers, pair), atol=1e-12)
+            assert np.array_equal(_pair_states(n, transfers, [pair])[0], got[k])
+
+
+def test_pair_scan_equals_single_pair_analysis():
+    n = 10
+    for sigma in np.linspace(0.1, 1.0, 10):  # the concurrence-scan grid
+        d = PhaseDistribution.gaussian(float(sigma))
+        for a in pair_scan(n, d):
+            rho = averaged_pair_state(n, d, a.pair)
+            assert a.concurrence == concurrence(rho)
+            assert a.ppt_min_eig == ppt_min_eigenvalue(rho)
 
 
 # --- sampled concurrence ---
@@ -199,5 +275,25 @@ def test_sampled_mean_concurrence_fixed_dist():
 
 
 def test_sampled_mean_concurrence_guard():
+    d = PhaseDistribution.gaussian(0.5)
     with pytest.raises(ValueError, match="at least one sample"):
-        sampled_mean_concurrence(4, PhaseDistribution.gaussian(0.5), (1, 2), 0, seed=1)
+        sampled_mean_concurrence(4, d, (1, 2), 0, seed=1)
+    with pytest.raises(ValueError, match="pair"):
+        sampled_mean_concurrence(4, d, (0, 2), 5, seed=1)
+
+
+# values of the per-entry walk the pair states were computed by before the
+# environment contraction
+SAMPLED_MEANS = [
+    ((4, PhaseDistribution.gaussian(0.7), (1, 2), 25, 5), 0.2928328562661886),
+    ((8, PhaseDistribution.gaussian(1.0), (3, 4), 20, 42), 0.03793238790484198),
+    ((7, PhaseDistribution.gaussian(0.6), (1, 2), 12, 1), 0.1890466104254226),
+    ((5, PhaseDistribution.flat(2.0), (2, 3), 30, 3), 0.0011721295555484248),
+    ((3, PhaseDistribution.flat(4.0), (1, 3), 15, 9), 2.55351295663786e-16),
+    ((10, PhaseDistribution.gaussian(0.3), (5, 6), 10, 7), 0.0),
+]
+
+
+@pytest.mark.parametrize("args, expect", SAMPLED_MEANS)
+def test_sampled_mean_concurrence_pinned(args, expect):
+    assert sampled_mean_concurrence(*args) == pytest.approx(expect, rel=1e-13, abs=1e-16)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from noisycluster import oneway
-from noisycluster.clusters import build_cluster, chain_graph, ClusterGraph
+from noisycluster.clusters import build_cluster, chain_graph, ClusterGraph, derive_local_correction
 from noisycluster.oneway import (
     GateConfig,
     GateRun,
@@ -28,7 +28,15 @@ from noisycluster.oneway import (
     wire_transfer,
 )
 from noisycluster.phasenoise import PhaseDistribution
-from noisycluster.states import HADAMARD, InputQubit, MeasurementBasis, measure, phase_z, PAULI_X
+from noisycluster.states import (
+    HADAMARD,
+    InputQubit,
+    MeasurementBasis,
+    PAULI_X,
+    PureState,
+    measure,
+    phase_z,
+)
 
 SEED = 61507
 
@@ -349,6 +357,31 @@ def test_wire_step_matches_dense_born_sampling(n, monkeypatch):
         dense_outcomes, dense_fid = dense_wire(n, q, thetas, rng=np.random.default_rng(seed))
         assert realized.pop() == dense_outcomes
         assert fid == pytest.approx(dense_fid, abs=1e-12)
+
+
+def dense_wire_correction(n, outcomes):
+    """The branch correction as once derived, on a dense n-site chain."""
+    state = build_cluster(chain_graph(n), {1: oneway._WIRE_REFERENCE})
+    for out in outcomes:
+        _, _, state = measure(state, 1, MeasurementBasis.x(), force=out)
+    target = PureState(1, oneway._WIRE_REFERENCE.as_array())
+    return derive_local_correction(state, target, [1])
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_wire_correction_matches_dense_derivation(n):
+    for outcomes in itertools.product((0, 1), repeat=n - 1):
+        got = oneway._wire_correction(n, outcomes)
+        expect = dense_wire_correction(n, outcomes)
+        assert (got.qubits, got.names) == (expect.qubits, expect.names), outcomes
+
+
+@pytest.mark.parametrize("n", [25, 1000])
+def test_wire_longer_than_a_dense_register(n):
+    rng = np.random.default_rng(SEED + n)
+    q = random_input(rng)
+    assert wire_transfer(n, q)[1] == pytest.approx(1.0, abs=1e-10)
+    assert wire_transfer(n, q, outcomes="sample", rng=rng)[1] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_wire_zero_probability_branch_raises():
