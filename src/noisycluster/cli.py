@@ -11,6 +11,7 @@ runs; the only non-deterministic line, the timestamp, is dropped under
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -23,7 +24,8 @@ from . import __version__
 from .clusters import build_cluster, load_graph, verify_stabilizers
 from .entanglement import pair_scan
 from .oneway import gate_configs, gate_fidelity_mc, wire_fidelity_mc
-from .phasenoise import PhaseDistribution, dephasing_fidelity, overlap_avg
+# overlap_avg is unused here; bench/spans.py looks it up on this module to trace it
+from .phasenoise import PhaseDistribution, dephasing_fidelity, overlap_avg, overlap_scan  # noqa: F401
 from .states import PAULI_Z, InputQubit, apply_local
 
 EXPERIMENT_KINDS = (
@@ -95,12 +97,12 @@ class ResultTable:
 
 
 def _format_cell(value) -> str:
+    if isinstance(value, (float, np.floating)):  # most cells; bool is not a float
+        return f"{float(value):.12g}"
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.12g}"
     return str(value)
 
 
@@ -111,12 +113,12 @@ def _run_fig_noise(params: Mapping[str, Any]) -> list[tuple]:
     grid = params.get("grid")
     if grid is None:
         grid = np.linspace(0.0, 2.0 * math.pi, 64)
-    rows = []
-    for n in range(3, 11):
-        for lam in grid:
-            res = overlap_avg(PhaseDistribution.flat(float(lam)), n)
-            rows.append((n, float(lam), res.fidelity_of_mean, res.mean_fidelity))
-    return rows
+    dists = [PhaseDistribution.flat(float(lam)) for lam in grid]
+    return [
+        (n, dist.param, res.fidelity_of_mean, res.mean_fidelity)
+        for n, results in zip(range(3, 11), overlap_scan(dists, range(3, 11)))
+        for dist, res in zip(dists, results)
+    ]
 
 
 def _run_fig_dephasing(params: Mapping[str, Any]) -> list[tuple]:
@@ -307,10 +309,12 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     return ExperimentSpec(kind=args.command, params=params, output_path=args.out)
 
 
+_cached_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _cached_parser().parse_args(argv)
     except SystemExit_ as exc:
         if exc.message:
             print(exc.message, file=sys.stderr)

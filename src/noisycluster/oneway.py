@@ -611,9 +611,14 @@ def derive_xy_pattern(
 _WIRE_REFERENCE = InputQubit(0.6, 0.8 * np.exp(1j * math.pi / 5.0))
 
 
-@functools.lru_cache(maxsize=None)
 def _wire_correction(n: int, outcomes: tuple[int, ...]) -> LocalCorrection:
-    actual, _ = _wire_steps(_WIRE_REFERENCE, [0.0] * (n - 1), outcomes, None)
+    return _wire_class_correction(n, sum(outcomes[0::2]) % 2, sum(outcomes[1::2]) % 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _wire_class_correction(n: int, even: int, odd: int) -> LocalCorrection:
+    branch = ((even, odd) + (0,) * n)[: n - 1]  # one representative of the class
+    actual, _ = _wire_steps(_WIRE_REFERENCE, [0.0] * (n - 1), branch, None)
     target = PureState(1, _WIRE_REFERENCE.as_array())
     return derive_local_correction(PureState(1, actual), target, [1])
 
@@ -657,9 +662,9 @@ def wire_transfer(
     Only the head of the chain is ever measured, so the qubit is carried as
     one 2-vector, updated once per measured site; Born sampling draws one
     ``rng.random()`` per site, as ``states.measure`` does. The branch
-    correction is derived once per (n, outcomes) at zero noise on a fixed
-    generic reference input and cached. Returns the corrected output qubit
-    and its fidelity |<input|output>|^2.
+    correction, fixed by the parities of the even- and odd-indexed outcomes,
+    is derived once per class at zero noise on a generic reference input and
+    cached. Returns the corrected output qubit and its fidelity |<input|output>|^2.
     """
     if n < 2:
         raise ValueError("wire needs at least 2 sites")
@@ -681,6 +686,8 @@ def wire_fidelity_mc(
     master_seed: int,
 ) -> SampleStats:
     """Mean postselected wire fidelity under i.i.d. edge deviations."""
+    if n < 2:
+        raise ValueError("wire needs at least 2 sites")
     values = np.empty(n_samples, dtype=float)
     for k in range(n_samples):
         rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(k,)))

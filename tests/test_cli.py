@@ -2,11 +2,13 @@
 
 import io
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
-from noisycluster import cli
+from noisycluster import cli, phasenoise
 from noisycluster.cli import (
     CNOT_INPUT,
     ExperimentError,
@@ -68,6 +70,44 @@ def test_exit_two_for_runtime_errors(tmp_path, capsys):
         assert "Traceback" not in err + out
 
 
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_wire_scan_rejects_short_wires(capsys, size):
+    code, out, err = run_cli(capsys, "wire-scan", "--sizes", size, "--samples", "2")
+    assert code == 2
+    assert err == "cluster-bench: wire needs at least 2 sites\n"
+    assert "Traceback" not in err + out
+
+
+def test_cached_parser_keeps_no_state_between_runs(capsys):
+    code, out, _ = run_cli(capsys, "concurrence-scan", "--n", "7", "--grid", "0.5:1:2", "--no-meta")
+    assert code == 0
+    assert {r[0] for r in data_rows(out, "N,sigma,i,j,concurrence,ppt_min_eig")} == {"7"}
+    code, out, _ = run_cli(capsys, "concurrence-scan", "--no-meta")
+    assert code == 0
+    rows = data_rows(out, "N,sigma,i,j,concurrence,ppt_min_eig")
+    assert {r[0] for r in rows} == {"5"}
+    assert len(rows) == 10 * 10  # default grid of 10 sigmas, C(5, 2) pairs
+    assert "# n: 5\n" in out
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # bench/spans.py patches functions where their callers look them up
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    sys.path.insert(0, bench)
+    try:
+        import spans
+
+        tracer = spans.Tracer()
+        try:
+            spans.install(tracer)
+            assert cli.overlap_avg is not phasenoise.overlap_avg  # wrapped
+        finally:
+            tracer.unpatch()
+    finally:
+        sys.path.remove(bench)
+    assert cli.overlap_avg is phasenoise.overlap_avg
+
+
 # --- output format -----------------------------------------------------------
 
 
@@ -121,6 +161,8 @@ def test_format_cell():
     assert _format_cell(np.int64(7)) == "7"
     assert _format_cell(0.46627046160406) == "0.466270461604"
     assert _format_cell(1.0) == "1"
+    assert _format_cell(np.float64(0.46627046160406)) == "0.466270461604"
+    assert _format_cell(2**70) == "1180591620717411303424"
     assert _format_cell("ghz") == "ghz"
 
 

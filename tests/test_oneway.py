@@ -376,6 +376,36 @@ def test_wire_correction_matches_dense_derivation(n):
         assert (got.qubits, got.names) == (expect.qubits, expect.names), outcomes
 
 
+def per_branch_wire_correction(n, outcomes):
+    """The correction derived on the branch itself, as the cache once did."""
+    actual, _ = oneway._wire_steps(oneway._WIRE_REFERENCE, [0.0] * (n - 1), outcomes, None)
+    target = PureState(1, oneway._WIRE_REFERENCE.as_array())
+    return derive_local_correction(PureState(1, actual), target, [1])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_wire_parity_class_correction_equals_per_branch_derivation(n):
+    for outcomes in itertools.product((0, 1), repeat=n - 1):
+        got = oneway._wire_correction(n, outcomes)
+        expect = per_branch_wire_correction(n, outcomes)
+        assert (got.qubits, got.names) == (expect.qubits, expect.names), outcomes
+        assert all((a == b).all() for a, b in zip(got.matrices, expect.matrices)), outcomes
+
+
+def test_wire_correction_cache_holds_one_entry_per_parity_class():
+    oneway._wire_class_correction.cache_clear()
+    rng = np.random.default_rng(SEED)
+    for _ in range(50):
+        wire_transfer(200, InputQubit.plus(), outcomes="sample", rng=rng)
+    assert oneway._wire_class_correction.cache_info().currsize <= 4
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_wire_fidelity_mc_needs_two_sites(n):
+    with pytest.raises(ValueError, match="wire needs at least 2 sites"):
+        wire_fidelity_mc(n, InputQubit.plus(), PhaseDistribution.gaussian(0.5), 4, SEED)
+
+
 @pytest.mark.parametrize("n", [25, 1000])
 def test_wire_longer_than_a_dense_register(n):
     rng = np.random.default_rng(SEED + n)

@@ -4,11 +4,13 @@ Oracles: direct 2^N bitstring sums, the dense state engine, and Monte Carlo
 sampling of the phase distributions.
 """
 
+import io
 import math
 
 import numpy as np
 import pytest
 
+from noisycluster import cli
 from noisycluster.clusters import build_cluster, chain_graph, grid_graph
 from noisycluster.phasenoise import (
     DEPHASING_FAMILIES,
@@ -17,6 +19,8 @@ from noisycluster.phasenoise import (
     dephasing_fidelity,
     overlap_avg,
     overlap_exact,
+    overlap_scan,
+    pair_transfer,
 )
 from noisycluster.states import (
     DephasingChannel,
@@ -220,6 +224,92 @@ def test_mean_fidelity_dominates_fidelity_of_mean():
 def test_overlap_avg_needs_two_sites():
     with pytest.raises(ValueError, match="at least 2"):
         overlap_avg(PhaseDistribution.flat(1.0), 1)
+
+
+# --- the prefix sweep against the matrix-power formula ---
+
+
+def overlap_avg_matrix_power(dist, n):
+    """The two matrix powers overlap_avg once evaluated, normalised at the end."""
+    m = np.array([[1.0, 1.0], [1.0, dist.char_value(1)]], dtype=complex)
+    u2, u4 = np.ones(2), np.ones(4)
+    mean_overlap = complex(u2 @ np.linalg.matrix_power(m, n - 1) @ u2) / 2.0**n
+    mean_fid = complex(u4 @ np.linalg.matrix_power(pair_transfer(dist), n - 1) @ u4) / 4.0**n
+    return OverlapResult(mean_overlap, abs(mean_overlap) ** 2, mean_fid.real)
+
+
+SCAN_DISTS = [
+    PhaseDistribution.flat(0.0),
+    PhaseDistribution.flat(0.7),
+    PhaseDistribution.flat(3.0),
+    PhaseDistribution.gaussian(0.3),
+    PhaseDistribution.gaussian(1.2),
+    PhaseDistribution.fixed(0.9),
+    PhaseDistribution.fixed(2.5),
+]
+
+
+def test_overlap_scan_matches_matrix_power_oracle():
+    sizes = range(2, 41)
+    table = overlap_scan(SCAN_DISTS, sizes)
+    assert len(table) == len(sizes)
+    for n, results in zip(sizes, table):
+        assert len(results) == len(SCAN_DISTS)
+        for dist, got in zip(SCAN_DISTS, results):
+            want = overlap_avg_matrix_power(dist, n)
+            assert got.mean_overlap == pytest.approx(want.mean_overlap, rel=1e-13), (dist, n)
+            assert got.fidelity_of_mean == pytest.approx(want.fidelity_of_mean, rel=1e-13)
+            assert got.mean_fidelity == pytest.approx(want.mean_fidelity, rel=1e-13)
+
+
+def test_overlap_scan_entries_equal_overlap_avg():
+    sizes = [7, 2, 12, 7]  # any order, repeats allowed
+    for n, results in zip(sizes, overlap_scan(SCAN_DISTS, sizes)):
+        assert results == [overlap_avg(dist, n) for dist in SCAN_DISTS]
+
+
+def test_overlap_scan_edge_cases():
+    assert overlap_scan([], [3, 4]) == [[], []]
+    assert overlap_scan(SCAN_DISTS, []) == []
+    with pytest.raises(ValueError, match="at least 2"):
+        overlap_scan(SCAN_DISTS, [5, 1])
+
+
+def test_overlap_avg_at_500_sites_matches_matrix_power():
+    for dist in (PhaseDistribution.flat(0.05), PhaseDistribution.gaussian(0.02)):
+        got, want = overlap_avg(dist, 500), overlap_avg_matrix_power(dist, 500)
+        assert got.fidelity_of_mean == pytest.approx(want.fidelity_of_mean, rel=1e-12)
+        assert got.mean_fidelity == pytest.approx(want.mean_fidelity, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [512, 1024, 5000])
+def test_overlap_avg_at_any_length(n):
+    # 4.0**512 overflows: each edge carries its own share of the normalisation
+    for dist in (
+        PhaseDistribution.flat(0.0),
+        PhaseDistribution.flat(0.05),
+        PhaseDistribution.gaussian(1.0),
+    ):
+        res = overlap_avg(dist, n)
+        for value in (res.fidelity_of_mean, res.mean_fidelity):
+            assert math.isfinite(value) and 0.0 <= value <= 1.0
+    assert overlap_avg(PhaseDistribution.flat(0.0), n).mean_fidelity == pytest.approx(1.0)
+
+
+def test_fig_noise_table_matches_matrix_power_oracle():
+    grid = np.linspace(0.0, 2.0 * math.pi, 64)
+    oracle = [
+        (n, float(lam), res.fidelity_of_mean, res.mean_fidelity)
+        for n in range(3, 11)
+        for lam in grid
+        for res in [overlap_avg_matrix_power(PhaseDistribution.flat(float(lam)), n)]
+    ]
+    table = cli.run_experiment(cli.ExperimentSpec("fig-noise", {}))
+    expect, got = io.StringIO(), io.StringIO()
+    cli.ResultTable(table.columns, oracle).write(expect, with_timestamp=False)
+    cli.ResultTable(table.columns, table.rows).write(got, with_timestamp=False)
+    assert got.getvalue() == expect.getvalue()
 
 
 def test_overlap_result_validation():
