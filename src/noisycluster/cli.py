@@ -234,12 +234,14 @@ class SystemExit_(SystemExit):
 def _parse_grid(text: str) -> np.ndarray:
     try:
         start, stop, steps = text.split(":")
-        grid = np.linspace(float(start), float(stop), int(steps))
+        start, stop = float(start), float(stop)
+        if math.isfinite(start) and math.isfinite(stop):
+            return np.linspace(start, stop, int(steps))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"grid must be start:stop:steps, got {text!r}"
         ) from exc
-    return grid
+    raise argparse.ArgumentTypeError(f"grid endpoints must be finite, got {text!r}")
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:

@@ -471,6 +471,8 @@ def parse_graph(text: str) -> ClusterGraph:
                 edges.append(e)
                 if len(parts) == 4:
                     theta[e] = float(parts[3])
+                    if not math.isfinite(theta[e]):
+                        raise ValueError
             elif kind == "kappa" and len(parts) == 3:
                 kappa[int(parts[1])] = int(parts[2])
             else:

@@ -23,9 +23,9 @@ import numpy as np
 from .clusters import (
     ClusterGraph,
     LocalCorrection,
-    NoLocalCorrectionError,
     build_cluster,
     chain_graph,
+    clifford_group_1q,
     derive_local_correction,
 )
 from .phasenoise import PhaseDistribution
@@ -253,6 +253,12 @@ def config_cnot15() -> GateConfig:
     )
 
 
+# Y-measuring the bridge site 16 with outcome 0 leaves the squashed-I
+# cluster up to sqrt(-iZ) = SSS on each neighbor (Hein, Eisert & Briegel,
+# PRA 69, 062311, 2004); tests re-derive these words by Clifford search.
+_BRIDGE_CORRECTIONS = ((8, "SSS"), (12, "SSS"))
+
+
 @functools.lru_cache(maxsize=1)
 def config_cnot16_bridged() -> GateConfig:
     """Squashed-I CNOT with a redundant bridge site 16 between 8 and 12.
@@ -262,56 +268,31 @@ def config_cnot16_bridged() -> GateConfig:
     (8,12) edge up to phase-gate corrections on 8 and 12 (an X measurement
     instead leaves a z8 = z12 parity constraint that no local frame can
     remove, so it cannot retrieve the plain squashed-I cluster). The
-    corrections are derived at zero noise by ``derive_local_correction``
-    and applied inline, after which the 15-site pattern runs unchanged.
+    corrections are the frozen Clifford words ``_BRIDGE_CORRECTIONS``,
+    applied inline, after which the 15-site pattern runs unchanged.
     Postselect-only.
     """
     base = config_cnot15()
-    bridged = _bridged_graph()
-    ideal16 = build_cluster(bridged)
-    _, _, post = measure(
-        ideal16, bridged.position(16), MeasurementBasis.y(), force=0
-    )
-    target15 = build_cluster(base.graph)
-    pos = [base.graph.position(8), base.graph.position(12)]
-    corr = derive_local_correction(post, target15, pos)
+    clifford = dict(clifford_group_1q())
     steps = ((16, MeasurementBasis.y()),) + base.pattern.steps
     pattern = MeasurementPattern(
         steps=steps,
         outputs=(7, 15),
         decoding={(0,) * len(steps): _SQUASHED_I_DECODING},
         postselect_only=True,
-        corrections=(
-            InlineCorrection(16, 8, corr.names[0], corr.matrices[0]),
-            InlineCorrection(16, 12, corr.names[1], corr.matrices[1]),
+        corrections=tuple(
+            InlineCorrection(16, site, name, clifford[name])
+            for site, name in _BRIDGE_CORRECTIONS
         ),
     )
-    cfg = GateConfig(
+    return GateConfig(
         name="cnot16_bridged",
-        graph=bridged,
+        graph=_bridged_graph(),
         input_sites=(1, 9),
         pattern=pattern,
         ideal_gate=cnot_matrix(control=1, target=2),
         output_frame=(IDENTITY_2, IDENTITY_2),
     )
-    if not _truth_table_holds(cfg):
-        raise NoLocalCorrectionError(
-            "bridge removal corrections do not restore the squashed-I protocol"
-        )
-    return cfg
-
-
-def _truth_table_holds(config: GateConfig, atol: float = 1e-9) -> bool:
-    for in1, in2 in _PROBE_INPUTS:
-        inputs = dict(zip(config.input_sites, (in1, in2)))
-        try:
-            run = run_gate(config, inputs)
-        except ValueError:
-            return False
-        ideal = config.ideal_gate @ _logical_input_state(config, inputs)
-        if abs(np.vdot(ideal, run.state.amplitudes)) ** 2 < 1.0 - atol:
-            return False
-    return True
 
 
 def gate_configs() -> tuple[GateConfig, ...]:
@@ -507,6 +488,9 @@ def gate_fidelity_mc(
 _PAULI_BY_NAME = {"I": IDENTITY_2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 _PAULI_EXPONENTS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
+# rows: the outcome-0 bras of the X and Y bases
+_XY_BRAS = np.array([[1.0, 1.0], [1.0, -1j]]) / math.sqrt(2.0)
+
 _PROBE_INPUTS: tuple[tuple[InputQubit, InputQubit], ...] = (
     (InputQubit.zero(), InputQubit.zero()),
     (InputQubit.zero(), InputQubit.one()),
@@ -532,76 +516,51 @@ def derive_xy_pattern(
     and two superposition probes. Returns the lexicographically first
     acceptable assignment (X before Y), with P as the all-zero decoding,
     or raises ``PatternSearchError``.
+
+    Each probe cluster is built once; a Kronecker product of the outcome-0
+    bras of X and Y over the measured sites gives every candidate's
+    unnormalised output at once, one row per candidate.
     """
     measured = tuple(s for s in graph.sites if s not in outputs)
     if len(measured) > 14:
         raise ValueError("search space capped at 2^14 candidates")
+    clusters = [
+        build_cluster(graph, {input_sites[0]: in1, input_sites[1]: in2})
+        for in1, in2 in _PROBE_INPUTS
+    ]
+    if tuple(s for s in graph.sites if s not in measured) != tuple(outputs):
+        raise AssertionError("outputs out of order")
+    axes = [graph.position(s) - 1 for s in measured + tuple(outputs)]
     pauli_names = list(itertools.product("IXYZ", repeat=2))
     frame_mat = np.kron(output_frame[0], output_frame[1])
-    ideal_outs = []
-    clusters = []
-    for in1, in2 in _PROBE_INPUTS:
-        logical = np.kron(in1.as_array(), in2.as_array())
-        ideal_outs.append(ideal_gate @ logical)
-        clusters.append(
-            build_cluster(graph, {input_sites[0]: in1, input_sites[1]: in2})
+    decoders = np.stack(
+        [frame_mat @ np.kron(_PAULI_BY_NAME[a], _PAULI_BY_NAME[b]) for a, b in pauli_names]
+    )
+    alive = np.ones((2 ** len(measured), len(pauli_names)), dtype=bool)
+    for (in1, in2), cluster in zip(_PROBE_INPUTS, clusters):
+        out = cluster.amplitudes.reshape((2,) * graph.num_sites).transpose(axes)
+        for k in range(len(measured)):  # axis k becomes the X/Y choice of site k
+            out = np.einsum("ab,ibj->iaj", _XY_BRAS, out.reshape(2**k, 2, -1))
+        out = out.reshape(-1, 4)
+        probability = np.einsum("bi,bi->b", out.conj(), out).real
+        possible = probability >= FORCE_PROB_ATOL
+        alive &= possible[:, None]
+        ideal = ideal_gate @ np.kron(in1.as_array(), in2.as_array())
+        overlaps = out[possible] @ (ideal.conj() @ decoders).T
+        alive[possible] &= (
+            np.abs(np.abs(overlaps) / np.sqrt(probability[possible, None]) - 1.0) <= MATCH_ATOL
         )
-
-    live0 = list(graph.sites)
-    for labels in itertools.product("XY", repeat=len(measured)):
-        bases = [_basis(lab) for lab in labels]
-        surviving = pauli_names
-        ok = True
-        for probe_idx, cluster in enumerate(clusters):
-            state = cluster
-            live = live0.copy()
-            try:
-                for site, basis in zip(measured, bases):
-                    pos = live.index(site) + 1
-                    _, _, state = measure(state, pos, basis, force=0)
-                    live.pop(pos - 1)
-            except ValueError:
-                ok = False
-                break
-            if tuple(live) != tuple(outputs):
-                raise AssertionError("outputs out of order")
-            raw = state.amplitudes
-            ideal = ideal_outs[probe_idx]
-            surviving = [
-                names
-                for names in surviving
-                if abs(
-                    abs(
-                        np.vdot(
-                            ideal,
-                            frame_mat
-                            @ np.kron(
-                                _PAULI_BY_NAME[names[0]], _PAULI_BY_NAME[names[1]]
-                            )
-                            @ raw,
-                        )
-                    )
-                    - 1.0
-                )
-                <= MATCH_ATOL
-            ]
-            if not surviving:
-                ok = False
-                break
-        if ok and surviving:
-            p1, p2 = surviving[0]
-            return MeasurementPattern(
-                steps=tuple(zip(measured, bases)),
-                outputs=tuple(outputs),
-                decoding={
-                    (0,) * len(measured): (
-                        _PAULI_EXPONENTS[p1],
-                        _PAULI_EXPONENTS[p2],
-                    )
-                },
-                postselect_only=True,
-            )
-    raise PatternSearchError("no X/Y measurement pattern realizes the gate")
+    hits = np.flatnonzero(alive.any(axis=1))
+    if not hits.size:
+        raise PatternSearchError("no X/Y measurement pattern realizes the gate")
+    bits = np.unravel_index(hits[0], (2,) * len(measured))
+    p1, p2 = pauli_names[np.argmax(alive[hits[0]])]
+    return MeasurementPattern(
+        steps=tuple((site, _basis("XY"[bit])) for site, bit in zip(measured, bits)),
+        outputs=tuple(outputs),
+        decoding={(0,) * len(measured): (_PAULI_EXPONENTS[p1], _PAULI_EXPONENTS[p2])},
+        postselect_only=True,
+    )
 
 
 # --- wires and single-qubit gates -------------------------------------------

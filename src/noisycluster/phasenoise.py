@@ -38,6 +38,8 @@ class PhaseDistribution:
     def __post_init__(self) -> None:
         if self.kind not in ("flat", "gaussian", "fixed"):
             raise ValueError(f"unknown distribution kind {self.kind!r}")
+        if not math.isfinite(self.param):
+            raise ValueError(f"{self.kind} parameter must be finite")
         if self.kind == "flat" and self.param < 0.0:
             raise ValueError("flat width must be >= 0")
         if self.kind == "gaussian" and self.param < 0.0:
@@ -166,7 +168,7 @@ def dephasing_fidelity(family: str, n: int, gamma: float) -> float:
     which is the value used in tests (a figure caption quoting 0.5 for
     these parameters is inconsistent with the formula).
     """
-    if gamma < 0.0:
+    if not gamma >= 0.0:  # NaN fails too; gamma = inf is full dephasing
         raise ValueError("gamma must be >= 0")
     g = math.exp(-gamma)
     if family == "single_plus":

@@ -140,7 +140,7 @@ class DephasingChannel:
     gamma: float
 
     def __post_init__(self) -> None:
-        if self.gamma < 0.0:
+        if not self.gamma >= 0.0:  # NaN fails too; gamma = inf is full dephasing
             raise ValueError("gamma must be >= 0")
 
 
@@ -349,6 +349,8 @@ def dephase(rho: DensityMatrix, channel: DephasingChannel) -> DensityMatrix:
 
 def dephasing_kraus(gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Single-qubit Kraus pair {sqrt(p) I, sqrt(1-p) Z}, p = (1 + e^-gamma)/2."""
+    if not gamma >= 0.0:  # NaN fails too; gamma = inf is full dephasing
+        raise ValueError("gamma must be >= 0")
     p = 0.5 * (1.0 + math.exp(-gamma))
     return math.sqrt(p) * IDENTITY_2, math.sqrt(1.0 - p) * PAULI_Z
 

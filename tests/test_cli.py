@@ -49,14 +49,25 @@ def test_exit_one_for_usage_errors(capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1, argv
         assert "usage" in err or "error" in err
+    # non-finite grid endpoints: rejected before numpy can warn about them
+    for argv in (("fig-noise", "--grid", "0:inf:2"), ("fig-cnot", "--grid", "0:nan:2")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert "grid endpoints must be finite" in err
+        assert "Warning" not in err and "Traceback" not in err + out
 
 
 def test_exit_two_for_runtime_errors(tmp_path, capsys):
     bad_graph = tmp_path / "bad.graph"
     bad_graph.write_text("site 1\nnonsense here\n")
+    nan_graph = tmp_path / "nan.graph"
+    nan_graph.write_text("site 1\nsite 2\nedge 1 2 nan\n")
     cases = (
         ("stabilizer-check", "--graph", str(tmp_path / "missing.graph")),
         ("stabilizer-check", "--graph", str(bad_graph)),
+        ("stabilizer-check", "--graph", str(nan_graph)),
+        ("fig-dephasing", "--gamma", "nan"),
+        ("wire-scan", "--sigma", "nan", "--sizes", "3"),
         ("fig-cnot", "--samples", "1"),
         ("fig-dephasing", "--nmax", "2"),
         ("fig-noise", "--grid", "1:0:3"),

@@ -377,7 +377,10 @@ def test_parse_graph_comments_and_blanks():
 
 @pytest.mark.parametrize(
     "line",
-    ["vertex 1", "site", "site x", "edge 1", "edge 1 2 3 4", "kappa 1", "site 1 2"],
+    [
+        "vertex 1", "site", "site x", "edge 1", "edge 1 2 3 4", "kappa 1", "site 1 2",
+        "edge 1 2 nan", "edge 1 2 inf", "edge 1 2 -inf",
+    ],
 )
 def test_parse_graph_rejects_malformed(line):
     with pytest.raises(ValueError, match="bad graph line"):

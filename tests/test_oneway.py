@@ -219,6 +219,177 @@ def test_gate_configs_listing():
     assert names == ["cnot4", "cnot15", "cnot16_bridged"]
 
 
+def test_cnot16_bridge_correction_rederivation():
+    # Y-measuring the bridge of the dense 16-site cluster and searching the
+    # Clifford pairs on sites 8 and 12 against the dense 15-site squashed-I
+    # cluster reproduces the frozen words and matrices
+    cfg = config_cnot16_bridged()
+    base = config_cnot15().graph
+    _, _, post = measure(
+        build_cluster(cfg.graph), cfg.graph.position(16), MeasurementBasis.y(), force=0
+    )
+    expect = derive_local_correction(
+        post, build_cluster(base), [base.position(8), base.position(12)]
+    )
+    assert tuple(c.name for c in cfg.pattern.corrections) == expect.names
+    for corr, matrix in zip(cfg.pattern.corrections, expect.matrices):
+        assert (corr.matrix == matrix).all()
+
+
+def test_cnot16_bridged_setup_runs_no_dense_engine(monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("dense engine called")
+
+    for name in ("build_cluster", "measure", "derive_local_correction", "run_gate"):
+        monkeypatch.setattr(oneway, name, dense)
+    config_cnot16_bridged.cache_clear()
+    try:
+        cfg = config_cnot16_bridged()
+    finally:
+        config_cnot16_bridged.cache_clear()
+    assert [c.name for c in cfg.pattern.corrections] == ["SSS", "SSS"]
+
+
+# --- X/Y pattern search ------------------------------------------------------
+#
+# A division by a zero-probability branch must fail, not warn.
+
+search_test = pytest.mark.filterwarnings("error")
+
+
+def dense_xy_pattern(graph, input_sites, outputs, ideal_gate, output_frame):
+    """The dense search derive_xy_pattern once ran: every candidate, every
+    probe, one forced measure per site. The oracle for the batched search."""
+    measured = tuple(s for s in graph.sites if s not in outputs)
+    pauli_names = list(itertools.product("IXYZ", repeat=2))
+    frame_mat = np.kron(output_frame[0], output_frame[1])
+    decoders = {
+        names: frame_mat @ np.kron(*(oneway._PAULI_BY_NAME[n] for n in names))
+        for names in pauli_names
+    }
+    ideal_outs = []
+    clusters = []
+    for in1, in2 in PROBES:
+        ideal_outs.append(ideal_gate @ np.kron(in1.as_array(), in2.as_array()))
+        clusters.append(build_cluster(graph, {input_sites[0]: in1, input_sites[1]: in2}))
+    for labels in itertools.product("XY", repeat=len(measured)):
+        bases = [oneway._basis(lab) for lab in labels]
+        surviving = pauli_names
+        for ideal, state in zip(ideal_outs, clusters):
+            live = list(graph.sites)
+            try:
+                for site, basis in zip(measured, bases):
+                    pos = live.index(site) + 1
+                    _, _, state = measure(state, pos, basis, force=0)
+                    live.pop(pos - 1)
+            except ValueError:
+                break
+            assert tuple(live) == tuple(outputs)
+            surviving = [
+                names
+                for names in surviving
+                if abs(abs(np.vdot(ideal, decoders[names] @ state.amplitudes)) - 1.0)
+                <= oneway.MATCH_ATOL
+            ]
+            if not surviving:
+                break
+        else:
+            p1, p2 = surviving[0]
+            return MeasurementPattern(
+                steps=tuple(zip(measured, bases)),
+                outputs=tuple(outputs),
+                decoding={
+                    (0,) * len(measured): (
+                        oneway._PAULI_EXPONENTS[p1],
+                        oneway._PAULI_EXPONENTS[p2],
+                    )
+                },
+                postselect_only=True,
+            )
+    raise PatternSearchError("no X/Y measurement pattern realizes the gate")
+
+
+def bridged_wires(a, b, i):
+    """Wires 1..a and a+1..a+b joined through a bridge site on the i-th site
+    of each; inputs on the wire heads, outputs on the wire tails."""
+    wires = (tuple(range(1, a + 1)), tuple(range(a + 1, a + b + 1)))
+    bridge = a + b + 1
+    edges = [(w[k], w[k + 1]) for w in wires for k in range(len(w) - 1)]
+    edges += [(wires[0][i], bridge), (wires[1][i], bridge)]
+    graph = ClusterGraph(wires[0] + wires[1] + (bridge,), tuple(edges), {}, {})
+    return graph, (1, a + 1), (a, a + b)
+
+
+_S = np.diag([1.0, 1j])
+_CZ = np.diag([1.0, 1.0, 1.0, -1.0])
+SEARCH_GATES = {
+    "I": np.eye(4),
+    "cnot12": cnot_matrix(control=1, target=2),
+    "cnot21": cnot_matrix(control=2, target=1),
+    "cz": _CZ,
+    "hh": np.kron(HADAMARD, HADAMARD),
+    "sh": np.kron(_S, HADAMARD),
+    "cz.hi": _CZ @ np.kron(HADAMARD, np.eye(2)),
+    # complex: real probes cannot tell the Y bra from its conjugate otherwise
+    "si.cz": np.kron(_S, np.eye(2)) @ _CZ,
+}
+SEARCH_FRAMES = {
+    "ii": (np.eye(2), np.eye(2)),
+    "hh": (HADAMARD, HADAMARD),
+    "hi": (HADAMARD, np.eye(2)),
+    "ih": (np.eye(2), HADAMARD),
+}
+SEARCH_GRAPHS = [(a, b, i) for a in (2, 3) for b in (2, 3) for i in range(min(a, b))]
+
+
+def search_result(search, *args):
+    try:
+        pattern = search(*args)
+    except PatternSearchError:
+        return None
+    return pattern.steps, dict(pattern.decoding)
+
+
+@search_test
+@pytest.mark.parametrize("frame", SEARCH_FRAMES)
+@pytest.mark.parametrize("gate", SEARCH_GATES)
+@pytest.mark.parametrize("a, b, i", SEARCH_GRAPHS)
+def test_derive_xy_pattern_matches_dense_search(a, b, i, gate, frame):
+    graph, inputs, outputs = bridged_wires(a, b, i)
+    args = (graph, inputs, outputs, SEARCH_GATES[gate], SEARCH_FRAMES[frame])
+    assert search_result(derive_xy_pattern, *args) == search_result(dense_xy_pattern, *args)
+
+
+@search_test
+def test_search_cases_include_patterns():
+    # the comparison above is not vacuous: bridged at the tails, both CNOT
+    # directions and CZ, with and without S, are found
+    graph, inputs, outputs = bridged_wires(3, 3, 2)
+    found = {
+        (gate, frame)
+        for gate, frame in itertools.product(SEARCH_GATES, SEARCH_FRAMES)
+        if search_result(
+            derive_xy_pattern, graph, inputs, outputs, SEARCH_GATES[gate], SEARCH_FRAMES[frame]
+        )
+        is not None
+    }
+    assert found == {
+        ("cnot12", "ih"), ("cnot21", "hi"), ("cz", "ii"), ("cz.hi", "ii"), ("si.cz", "ii")
+    }
+
+
+@search_test
+def test_derive_xy_pattern_builds_each_probe_once(monkeypatch):
+    built = []
+    build = oneway.build_cluster
+    monkeypatch.setattr(oneway, "build_cluster", lambda *a: built.append(a) or build(*a))
+    monkeypatch.setattr(oneway, "measure", None)
+    graph, inputs, outputs = bridged_wires(3, 3, 2)
+    derive_xy_pattern(graph, inputs, outputs, SEARCH_GATES["cz"])
+    assert len(built) == len(PROBES)
+
+
+@search_test
 def test_squashed_i_pattern_rederivation():
     # exhaustive X/Y search over the 13 measured sites reproduces the
     # frozen assignment and its all-zero decoding
@@ -235,6 +406,7 @@ def test_squashed_i_pattern_rederivation():
     assert found.postselect_only
 
 
+@search_test
 def test_derive_xy_pattern_four_site_chain():
     pattern = derive_xy_pattern(
         chain_graph(4),
@@ -249,12 +421,14 @@ def test_derive_xy_pattern_four_site_chain():
     assert dict(pattern.decoding) == {(0, 0): ((0, 0), (0, 0))}
 
 
+@search_test
 def test_derive_xy_pattern_disconnected_wires():
     graph = ClusterGraph((1, 2, 3, 4), ((1, 2), (3, 4)), {}, {})
     with pytest.raises(PatternSearchError):
         derive_xy_pattern(graph, (1, 3), (2, 4), cnot_matrix(control=1, target=2))
 
 
+@search_test
 def test_derive_xy_pattern_search_cap():
     with pytest.raises(ValueError):
         derive_xy_pattern(

@@ -130,6 +130,15 @@ def test_distribution_validation():
         PhaseDistribution.gaussian(-0.5)
 
 
+@pytest.mark.parametrize("param", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "make", [PhaseDistribution.flat, PhaseDistribution.gaussian, PhaseDistribution.fixed]
+)
+def test_distribution_rejects_non_finite(make, param):
+    with pytest.raises(ValueError, match="finite"):
+        make(param)
+
+
 # --- exact overlaps ---
 
 
@@ -348,6 +357,15 @@ def test_dephasing_square_matches_dense_simulation():
     rho = dephase(pure_to_density(state), DephasingChannel(0.3))
     brute = fidelity_pure_mixed(state, rho)
     assert dephasing_fidelity("square_cluster", 2, 0.3) == pytest.approx(brute, abs=1e-12)
+
+
+def test_dephasing_gamma_guard():
+    for gamma in (-0.1, math.nan):
+        with pytest.raises(ValueError, match=">= 0"):
+            dephasing_fidelity("ghz", 3, gamma)
+    # gamma = inf is the fully dephased limit
+    assert dephasing_fidelity("ghz", 3, math.inf) == 0.5
+    assert dephasing_fidelity("linear_cluster", 3, math.inf) == 0.125
 
 
 def test_dephasing_spot_values():

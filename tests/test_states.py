@@ -385,6 +385,9 @@ def test_dephase_gamma_zero_is_identity():
 def test_dephasing_channel_guard():
     with pytest.raises(ValueError, match=">= 0"):
         DephasingChannel(-0.1)
+    with pytest.raises(ValueError, match=">= 0"):
+        DephasingChannel(math.nan)
+    assert DephasingChannel(math.inf).gamma == math.inf
 
 
 def test_dephasing_kraus_completeness():
@@ -392,6 +395,11 @@ def test_dephasing_kraus_completeness():
     np.testing.assert_allclose(
         k0.conj().T @ k0 + k1.conj().T @ k1, np.eye(2), atol=1e-15
     )
+    for gamma in (-0.1, math.nan):
+        with pytest.raises(ValueError, match=">= 0"):
+            dephasing_kraus(gamma)
+    k0, k1 = dephasing_kraus(math.inf)
+    np.testing.assert_allclose(k1, math.sqrt(0.5) * np.diag([1.0, -1.0]), atol=1e-15)
 
 
 def test_fidelity_pure_mixed():
