@@ -35,6 +35,7 @@ from .states import (
     IDENTITY_2,
     InputQubit,
     MeasurementBasis,
+    NORM_ATOL,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -457,9 +458,10 @@ def _stats_from_samples(values: np.ndarray, seed: int) -> SampleStats:
     n = len(values)
     if n < 2:
         raise ValueError("need at least two samples for a standard error")
-    mean = float(values.sum() / n)
-    stderr = float(np.std(values, ddof=1) / math.sqrt(n))
-    return SampleStats(mean, stderr, n, seed)
+    mean = values.sum() / n
+    # the float operations of np.std(values, ddof=1), without its overhead
+    stderr = math.sqrt(np.square(values - mean).sum() / (n - 1)) / math.sqrt(n)
+    return SampleStats(float(mean), stderr, n, seed)
 
 
 def gate_fidelity_mc(
@@ -576,36 +578,45 @@ def _wire_correction(n: int, outcomes: tuple[int, ...]) -> LocalCorrection:
 
 @functools.lru_cache(maxsize=None)
 def _wire_class_correction(n: int, even: int, odd: int) -> LocalCorrection:
-    branch = ((even, odd) + (0,) * n)[: n - 1]  # one representative of the class
-    actual, _ = _wire_steps(_WIRE_REFERENCE, [0.0] * (n - 1), branch, None)
+    actual = _WIRE_REFERENCE.as_array()
+    for s in ((even, odd) + (0,) * n)[: n - 1]:  # one branch of the class; H Z^s at theta = 0
+        actual = HADAMARD @ (PAULI_Z if s else IDENTITY_2) @ actual
     target = PureState(1, _WIRE_REFERENCE.as_array())
     return derive_local_correction(PureState(1, actual), target, [1])
 
 
-def _wire_steps(
+def _wire_kernel(
+    n: int,
     qubit: InputQubit,
     thetas: Sequence[float],
     forced: tuple[int, ...] | None,
     rng: np.random.Generator | None,
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """X-measure the head site once per theta; return the last site's 2-vector
-    and the outcomes. Outcome s leaves the neighbor, still entangled with the
-    rest of the chain, in 1/2 [v0 + (-1)^s v1, v0 - (-1)^s e^{i theta} v1]."""
+) -> tuple[np.ndarray, float]:
+    """The wire in complex scalars: outcome s leaves the neighbor of the measured
+    head in 1/2 [v0 + (-1)^s v1, v0 - (-1)^s e^{i theta} v1], and the cached 2x2
+    branch correction follows. Returns the amplitudes and |<input|output>|^2."""
     v0, v1 = complex(qubit.amp0), complex(qubit.amp1)
     realized = []
     for k, theta in enumerate(thetas):
-        phase = complex(math.cos(theta), math.sin(theta))
-        w0 = (0.5 * (v0 + v1), 0.5 * (v0 - phase * v1))
-        w1 = (0.5 * (v0 - v1), 0.5 * (v0 + phase * v1))
-        p0 = (abs(w0[0]) ** 2 + abs(w0[1]) ** 2) / (abs(v0) ** 2 + abs(v1) ** 2)
+        phase_v1 = complex(math.cos(theta), math.sin(theta)) * v1
+        w0, w1 = 0.5 * (v0 + v1), 0.5 * (v0 - phase_v1)
+        p0 = (abs(w0) ** 2 + abs(w1) ** 2) / (abs(v0) ** 2 + abs(v1) ** 2)
         p0 = min(max(p0, 0.0), 1.0)
         out = (0 if rng.random() < p0 else 1) if forced is None else forced[k]
         prob = p0 if out == 0 else 1.0 - p0
         if prob < FORCE_PROB_ATOL:
             raise ValueError(f"outcome {out} has probability {prob:.3e}, cannot realize")
-        v0, v1 = (w / math.sqrt(prob) for w in (w0 if out == 0 else w1))
+        if out:
+            w0, w1 = 0.5 * (v0 - v1), 0.5 * (v0 + phase_v1)
+        v0, v1 = w0 / math.sqrt(prob), w1 / math.sqrt(prob)
         realized.append(out)
-    return np.array([v0, v1]), tuple(realized)
+    (g00, g01), (g10, g11) = _wire_correction(n, tuple(realized)).matrices[0].tolist()
+    c0, c1 = g00 * v0 + g01 * v1, g10 * v0 + g11 * v1
+    for norm in (abs(v0) ** 2 + abs(v1) ** 2, abs(c0) ** 2 + abs(c1) ** 2):
+        if abs(norm - 1.0) > NORM_ATOL:
+            raise ValueError(f"state not normalized: |amp|^2 = {norm}")
+    amplitudes = np.array([c0, c1])
+    return amplitudes, float(abs(np.vdot(qubit.as_array(), amplitudes)) ** 2)
 
 
 def wire_transfer(
@@ -631,10 +642,8 @@ def wire_transfer(
     if len(thetas) != n - 1:
         raise ValueError(f"expected {n - 1} thetas")
     forced = _forced_outcomes(outcomes, n - 1, rng)
-    actual, realized = _wire_steps(input_qubit, thetas, forced, rng)
-    state = _wire_correction(n, realized).apply(PureState(1, actual))
-    fid = float(abs(np.vdot(input_qubit.as_array(), state.amplitudes)) ** 2)
-    return state, fid
+    amplitudes, fid = _wire_kernel(n, input_qubit, thetas, forced, rng)
+    return PureState(1, amplitudes), fid
 
 
 def wire_fidelity_mc(
@@ -650,7 +659,8 @@ def wire_fidelity_mc(
     values = np.empty(n_samples, dtype=float)
     for k in range(n_samples):
         rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(k,)))
-        _, values[k] = wire_transfer(n, input_qubit, dist.sample(rng, n - 1))
+        thetas = dist.sample(rng, n - 1).tolist()
+        values[k] = _wire_kernel(n, input_qubit, thetas, (0,) * (n - 1), None)[1]
     return _stats_from_samples(values, master_seed)
 
 

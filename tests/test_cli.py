@@ -81,12 +81,21 @@ def test_exit_two_for_runtime_errors(tmp_path, capsys):
         assert "Traceback" not in err + out
 
 
-@pytest.mark.parametrize("size", ["0", "-3"])
+@pytest.mark.parametrize("size", ["0", "-3", "1"])
 def test_wire_scan_rejects_short_wires(capsys, size):
     code, out, err = run_cli(capsys, "wire-scan", "--sizes", size, "--samples", "2")
     assert code == 2
     assert err == "cluster-bench: wire needs at least 2 sites\n"
     assert "Traceback" not in err + out
+
+
+def test_wire_scan_runs_a_5000_site_wire(capsys):
+    code, out, err = run_cli(capsys, "wire-scan", "--sizes", "5000", "--samples", "2", "--no-meta")
+    assert code == 0, err
+    assert err == ""
+    [row] = data_rows(out, "N,sigma,mean,stderr")
+    assert row[0] == "5000"
+    assert math.isfinite(float(row[2])) and 0.0 <= float(row[2]) <= 1.0
 
 
 def test_cached_parser_keeps_no_state_between_runs(capsys):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from noisycluster import oneway
+from noisycluster import clusters, oneway
 from noisycluster.clusters import build_cluster, chain_graph, ClusterGraph, derive_local_correction
 from noisycluster.oneway import (
     GateConfig,
@@ -29,6 +29,7 @@ from noisycluster.oneway import (
 )
 from noisycluster.phasenoise import PhaseDistribution
 from noisycluster.states import (
+    FORCE_PROB_ATOL,
     HADAMARD,
     InputQubit,
     MeasurementBasis,
@@ -487,6 +488,172 @@ def test_wire_guards():
         wire_transfer(3, q, outcomes="typo")
 
 
+# --- the scalar wire kernel against the route it replaced ---------------------
+
+
+def reference_wire_steps(qubit, thetas, forced, rng):
+    """The wire step as it ran before the scalar kernel: both branch vectors
+    formed every step, the 2-vector returned as an array."""
+    v0, v1 = complex(qubit.amp0), complex(qubit.amp1)
+    realized = []
+    for k, theta in enumerate(thetas):
+        phase = complex(math.cos(theta), math.sin(theta))
+        w0 = (0.5 * (v0 + v1), 0.5 * (v0 - phase * v1))
+        w1 = (0.5 * (v0 - v1), 0.5 * (v0 + phase * v1))
+        p0 = (abs(w0[0]) ** 2 + abs(w0[1]) ** 2) / (abs(v0) ** 2 + abs(v1) ** 2)
+        p0 = min(max(p0, 0.0), 1.0)
+        out = (0 if rng.random() < p0 else 1) if forced is None else forced[k]
+        prob = p0 if out == 0 else 1.0 - p0
+        if prob < FORCE_PROB_ATOL:
+            raise ValueError(f"outcome {out} has probability {prob:.3e}, cannot realize")
+        v0, v1 = (w / math.sqrt(prob) for w in (w0 if out == 0 else w1))
+        realized.append(out)
+    return np.array([v0, v1]), tuple(realized)
+
+
+def reference_wire(n, qubit, thetas, forced=None, rng=None):
+    """Steps, a PureState, LocalCorrection.apply and np.vdot: the old route."""
+    actual, realized = reference_wire_steps(qubit, list(thetas), forced, rng)
+    state = oneway._wire_correction(n, realized).apply(PureState(1, actual))
+    return realized, state.amplitudes, float(abs(np.vdot(qubit.as_array(), state.amplitudes)) ** 2)
+
+
+def kernel_wire(n, qubit, thetas, outcomes, rng, monkeypatch):
+    """wire_transfer with the outcomes it realized, read off the correction lookup."""
+    realized = []
+    derive = oneway._wire_correction
+    monkeypatch.setattr(
+        oneway, "_wire_correction", lambda n, outs: realized.append(outs) or derive(n, outs)
+    )
+    state, fid = wire_transfer(n, qubit, thetas, outcomes=outcomes, rng=rng)
+    monkeypatch.setattr(oneway, "_wire_correction", derive)
+    return realized.pop(), state.amplitudes, fid
+
+
+def phase_draws(rng, kind, count):
+    if kind == "gaussian":
+        return PhaseDistribution.gaussian(rng.uniform(0.1, 2.0)).sample(rng, count)
+    return PhaseDistribution.flat(rng.uniform(0.5, 2.0 * math.pi)).sample(rng, count)
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_wire_kernel_equals_reference_route(n, monkeypatch):
+    rng = np.random.default_rng(SEED + 100 + n)
+    for kind in ("gaussian", "flat"):
+        for _ in range(8):
+            q = random_input(rng)
+            thetas = phase_draws(rng, kind, n - 1)
+            got = kernel_wire(n, q, thetas, "zero", None, monkeypatch)
+            ref = reference_wire(n, q, thetas, (0,) * (n - 1))
+            assert got[0] == ref[0]
+            assert (got[1] == ref[1]).all()
+            assert got[2] == ref[2]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_wire_kernel_equals_reference_route_on_every_forced_branch(n, monkeypatch):
+    rng = np.random.default_rng(SEED + 200 + n)
+    for outcomes in itertools.product((0, 1), repeat=n - 1):
+        q = random_input(rng)
+        thetas = phase_draws(rng, "gaussian", n - 1)
+        got = kernel_wire(n, q, thetas, outcomes, None, monkeypatch)
+        ref = reference_wire(n, q, thetas, outcomes)
+        assert got[0] == ref[0] == outcomes
+        assert (got[1] == ref[1]).all()
+        assert got[2] == ref[2]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 20])
+def test_wire_kernel_equals_reference_route_under_born_sampling(n, monkeypatch):
+    rng = np.random.default_rng(SEED + 300 + n)
+    for seed in range(24):
+        q = random_input(rng)
+        thetas = phase_draws(rng, "flat", n - 1)
+        kernel_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = kernel_wire(n, q, thetas, "sample", kernel_rng, monkeypatch)
+        ref = reference_wire(n, q, thetas, None, ref_rng)
+        assert got[0] == ref[0]
+        assert (got[1] == ref[1]).all()
+        assert got[2] == ref[2]
+        assert kernel_rng.random() == ref_rng.random()  # the same number of draws
+
+
+@pytest.mark.parametrize("n", [2, 3, 12, 20])
+def test_wire_fidelity_mc_equals_reference_route(n):
+    rng = np.random.default_rng(SEED + 400 + n)
+    for samples in range(2, 7):
+        q = random_input(rng)
+        dist = PhaseDistribution.gaussian(rng.uniform(0.1, 2.0))
+        master = int(rng.integers(2**31))
+        values = np.empty(samples)
+        for k in range(samples):
+            draw = np.random.default_rng(np.random.SeedSequence(master, spawn_key=(k,)))
+            values[k] = reference_wire(n, q, dist.sample(draw, n - 1), (0,) * (n - 1))[2]
+        stats = wire_fidelity_mc(n, q, dist, samples, master)
+        assert stats.mean == float(values.sum() / samples)
+        assert stats.stderr == float(np.std(values, ddof=1) / math.sqrt(samples))
+
+
+PROBABILITY_MESSAGE = r"^outcome {} has probability \d\.\d{{3}}e[+-]\d\d, cannot realize$"
+
+
+def test_wire_kernel_probability_guards_keep_their_messages():
+    # theta = pi switches the edge off: |+> never gives outcome 1, |-> never outcome 0
+    with pytest.raises(ValueError, match=PROBABILITY_MESSAGE.format(1)):
+        wire_transfer(2, InputQubit.plus(), [math.pi], outcomes=(1,))
+    with pytest.raises(ValueError, match=PROBABILITY_MESSAGE.format(0)):
+        wire_fidelity_mc(2, InputQubit.minus(), PhaseDistribution.fixed(math.pi), 2, SEED)
+
+
+def test_wire_kernel_norm_guard_keeps_its_message():
+    q = object.__new__(InputQubit)  # bypasses the constructor's own norm check
+    object.__setattr__(q, "amp0", 1.0)
+    object.__setattr__(q, "amp1", 1e-3)
+    with pytest.raises(ValueError, match=r"^state not normalized: \|amp\|\^2 = "):
+        wire_transfer(3, q, [0.2, 0.4])
+    with pytest.raises(ValueError, match=r"^state not normalized: \|amp\|\^2 = "):
+        wire_fidelity_mc(3, q, PhaseDistribution.gaussian(0.5), 2, SEED)
+
+
+def test_wire_fidelity_mc_builds_no_state_per_sample(monkeypatch):
+    q, dist = InputQubit.plus(), PhaseDistribution.gaussian(0.5)
+    wire_fidelity_mc(12, q, dist, 2, SEED)  # derives and caches the corrections it meets
+    calls = []
+
+    def counting(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    for name in ("apply_local", "derive_local_correction"):
+        monkeypatch.setattr(oneway, name, counting(name, getattr(oneway, name)))
+    monkeypatch.setattr(clusters, "apply_local", counting("apply_local", clusters.apply_local))
+    init = PureState.__post_init__
+    monkeypatch.setattr(PureState, "__post_init__", counting("PureState", init))
+    before = oneway._wire_class_correction.cache_info()
+    stats = wire_fidelity_mc(12, q, dist, 2, SEED)
+    after = oneway._wire_class_correction.cache_info()
+    assert after.misses == before.misses
+    assert calls == []
+    assert stats == wire_fidelity_mc(12, q, dist, 2, SEED)
+    wire_transfer(12, q)  # wire_transfer wraps its result in exactly one PureState
+    assert calls == ["PureState"]
+
+
+def test_stats_from_samples_equals_numpy_std():
+    rng = np.random.default_rng(SEED + 500)
+    cases = [rng.uniform(0.0, 1.0, n) for n in range(2, 65)]
+    cases += [1.0 - rng.integers(0, 8, n) * 1e-15 for n in range(2, 65)]
+    cases += [np.full(n, c) for n in range(2, 65) for c in (0.1, 0.7, 1.0 - 1e-15)]
+    for values in cases:
+        n = len(values)
+        stats = oneway._stats_from_samples(values, SEED)
+        assert stats.mean == float(values.sum() / n)
+        assert stats.stderr == float(np.std(values, ddof=1) / math.sqrt(n))
+        assert (stats.n_samples, stats.seed) == (n, SEED)
+    for n in range(2, 65):
+        for c in (0.0, 0.25, 0.5, 1.0):
+            assert oneway._stats_from_samples(np.full(n, c), SEED)[:2] == (c, 0.0)
+
+
 # --- the 2-vector wire step against the dense engine -------------------------
 
 
@@ -516,20 +683,15 @@ def test_wire_step_matches_dense_on_every_forced_branch(n):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_wire_step_matches_dense_born_sampling(n, monkeypatch):
-    realized = []
-    derive = oneway._wire_correction
-    monkeypatch.setattr(
-        oneway, "_wire_correction", lambda n, outs: realized.append(outs) or derive(n, outs)
-    )
     rng = np.random.default_rng(SEED - n)
     for seed in range(16):
         q = random_input(rng)
         thetas = rng.normal(0.0, 0.7, n - 1)
-        _, fid = wire_transfer(
-            n, q, thetas, outcomes="sample", rng=np.random.default_rng(seed)
+        outcomes, _, fid = kernel_wire(
+            n, q, thetas, "sample", np.random.default_rng(seed), monkeypatch
         )
         dense_outcomes, dense_fid = dense_wire(n, q, thetas, rng=np.random.default_rng(seed))
-        assert realized.pop() == dense_outcomes
+        assert outcomes == dense_outcomes
         assert fid == pytest.approx(dense_fid, abs=1e-12)
 
 
@@ -552,7 +714,7 @@ def test_wire_correction_matches_dense_derivation(n):
 
 def per_branch_wire_correction(n, outcomes):
     """The correction derived on the branch itself, as the cache once did."""
-    actual, _ = oneway._wire_steps(oneway._WIRE_REFERENCE, [0.0] * (n - 1), outcomes, None)
+    actual, _ = reference_wire_steps(oneway._WIRE_REFERENCE, [0.0] * (n - 1), outcomes, None)
     target = PureState(1, oneway._WIRE_REFERENCE.as_array())
     return derive_local_correction(PureState(1, actual), target, [1])
 
@@ -608,9 +770,7 @@ def test_wire_fidelity_mc_matches_manual_stream():
     assert stats.mean == values.mean()
     assert stats.n_samples == samples
     assert stats.seed == SEED
-    assert stats.stderr == pytest.approx(
-        values.std(ddof=1) / math.sqrt(samples), rel=1e-12
-    )
+    assert stats.stderr == values.std(ddof=1) / math.sqrt(samples)
 
 
 def test_wire_fidelity_mc_needs_two_samples():
