@@ -21,12 +21,12 @@ from typing import Any, Mapping, Sequence, TextIO
 import numpy as np
 
 from . import __version__
-from .clusters import build_cluster, load_graph, verify_stabilizers
+from .clusters import _twisted_cluster, load_graph, verify_stabilizers
 from .entanglement import pair_scan
 from .oneway import gate_configs, gate_fidelity_mc, wire_fidelity_mc
 # overlap_avg is unused here; bench/spans.py looks it up on this module to trace it
 from .phasenoise import PhaseDistribution, dephasing_fidelity, overlap_avg, overlap_scan  # noqa: F401
-from .states import PAULI_Z, InputQubit, apply_local
+from .states import InputQubit
 
 EXPERIMENT_KINDS = (
     "fig-noise",
@@ -181,12 +181,8 @@ def _run_stabilizer_check(params: Mapping[str, Any]) -> list[tuple]:
     if not path:
         raise ExperimentError("stabilizer-check requires a graph file")
     graph = load_graph(path)
-    state = build_cluster(graph)
-    # realize declared kappa labels: a sigma_z flips the site's eigenvalue
-    for site in graph.sites:
-        if graph.kappa[site]:
-            state = apply_local(state, graph.position(site), PAULI_Z)
-    report = verify_stabilizers(state, graph)
+    # the cluster with the declared kappa labels: a sigma_z flips the site's eigenvalue
+    report = verify_stabilizers(_twisted_cluster(graph), graph)
     rows = []
     for site in graph.sites:
         expected = (-1.0) ** graph.kappa[site]

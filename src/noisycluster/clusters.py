@@ -72,6 +72,8 @@ class ClusterGraph:
         if any(v not in (0, 1) for v in kappa.values()):
             raise ValueError("kappa values must be 0 or 1")
         theta = {e: float(self.edge_theta.get(e, 0.0)) for e in edges}
+        if bad := [e for e, t in theta.items() if not math.isfinite(t)]:
+            raise ValueError(f"edge {bad[0]} deviation must be finite")
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "kappa", kappa)

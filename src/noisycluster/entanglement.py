@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .phasenoise import PAIR_SIGN, PhaseDistribution, pair_transfer
+from .phasenoise import PAIR_SIGN, PhaseDistribution, _PAIR_CHAR_INDEX, _seeded_rows, pair_transfer
 from .states import DensityMatrix, PAULI_Y, check_density
 
 ENTANGLEMENT_TOL = 1e-9
@@ -159,17 +159,15 @@ def sampled_mean_concurrence(
 
     This is the average concurrence of the per-realization reduced states,
     as opposed to ``concurrence(averaged_pair_state(...))``, the concurrence
-    of the averaged state; the two differ in general.
+    of the averaged state; the two differ in general. Sample k reads its edge
+    phases from row k of ``phasenoise._seeded_rows``.
     """
     _check_pair(n, pair)
     if n_samples < 1:
         raise ValueError("need at least one sample")
     total = 0.0
-    for k in range(n_samples):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
-        # the reduced pair state of one noisy chain realization
-        transfers = [
-            _doubled_transfer(PhaseDistribution.fixed(t)) for t in dist.sample(rng, n - 1)
-        ]
+    for row in _seeded_rows(dist, n - 1, n_samples, seed):
+        char = np.exp(1j * np.multiply.outer(row, (-1, 0, 1)))  # e^{i k theta}, k = -1, 0, 1
+        transfers = char[:, _PAIR_CHAR_INDEX] * PAIR_SIGN
         total += concurrence(DensityMatrix(2, _pair_states(n, transfers, [pair])[0]))
     return total / n_samples

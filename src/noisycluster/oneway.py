@@ -26,9 +26,9 @@ from .clusters import (
     build_cluster,
     chain_graph,
     clifford_group_1q,
-    derive_local_correction,
+    derive_local_correction,  # noqa: F401  unused here; bench/spans.py traces it on this module
 )
-from .phasenoise import PhaseDistribution
+from .phasenoise import PhaseDistribution, _seeded_rows
 from .states import (
     FORCE_PROB_ATOL,
     HADAMARD,
@@ -473,15 +473,11 @@ def gate_fidelity_mc(
 ) -> SampleStats:
     """Monte Carlo mean gate fidelity under i.i.d. edge deviations.
 
-    Sample k draws one phase per edge, edges ascending, from a generator
-    seeded by (master_seed, spawn_key=(k,)); all samples are then scored
-    in one batched contraction of the postselected pattern.
+    Sample k is row k of ``phasenoise._seeded_rows``, one phase per edge in ascending
+    order; all rows are scored in one batched contraction of the postselected pattern.
     """
-    edges = config.graph.edges
-    thetas = np.empty((n_samples, len(edges)))
-    for k in range(n_samples):
-        rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(k,)))
-        thetas[k] = dist.sample(rng, len(edges))
+    width = len(config.graph.edges)
+    thetas = np.array(list(_seeded_rows(dist, width, n_samples, master_seed))).reshape(-1, width)
     return _stats_from_samples(_zero_branch_fidelities(config, inputs, thetas), master_seed)
 
 
@@ -567,34 +563,30 @@ def derive_xy_pattern(
 
 # --- wires and single-qubit gates -------------------------------------------
 
-# generic reference state: not an eigenvector of any nontrivial single-qubit
-# Clifford, so the derived correction is the exact operator inverse
-_WIRE_REFERENCE = InputQubit(0.6, 0.8 * np.exp(1j * math.pi / 5.0))
+# Keyed by (n % 2, e, o), e and o the parities of the even- and odd-indexed outcomes:
+# the inverse wire byproduct, Z^e H Z^o for n even and Z^e X^o for n odd (Raussendorf,
+# Browne & Briegel, PRA 68, 022312, 2003); tests re-derive every word by Clifford search.
+_WIRE_FRAMES = {
+    (0, 0, 0): "H", (0, 1, 0): "SSH", (0, 0, 1): "HSS", (0, 1, 1): "SSHSS",
+    (1, 0, 0): "I", (1, 1, 0): "SS", (1, 0, 1): "HSSH", (1, 1, 1): "SSHSSH",
+}
 
 
 def _wire_correction(n: int, outcomes: tuple[int, ...]) -> LocalCorrection:
-    return _wire_class_correction(n, sum(outcomes[0::2]) % 2, sum(outcomes[1::2]) % 2)
-
-
-@functools.lru_cache(maxsize=None)
-def _wire_class_correction(n: int, even: int, odd: int) -> LocalCorrection:
-    actual = _WIRE_REFERENCE.as_array()
-    for s in ((even, odd) + (0,) * n)[: n - 1]:  # one branch of the class; H Z^s at theta = 0
-        actual = HADAMARD @ (PAULI_Z if s else IDENTITY_2) @ actual
-    target = PureState(1, _WIRE_REFERENCE.as_array())
-    return derive_local_correction(PureState(1, actual), target, [1])
+    name = _WIRE_FRAMES[n % 2, sum(outcomes[0::2]) % 2, sum(outcomes[1::2]) % 2]
+    return LocalCorrection((1,), (name,), (next(m for w, m in clifford_group_1q() if w == name),))
 
 
 def _wire_kernel(
-    n: int,
     qubit: InputQubit,
     thetas: Sequence[float],
     forced: tuple[int, ...] | None,
     rng: np.random.Generator | None,
+    frame: LocalCorrection | None = None,
 ) -> tuple[np.ndarray, float]:
-    """The wire in complex scalars: outcome s leaves the neighbor of the measured
-    head in 1/2 [v0 + (-1)^s v1, v0 - (-1)^s e^{i theta} v1], and the cached 2x2
-    branch correction follows. Returns the amplitudes and |<input|output>|^2."""
+    """The wire in complex scalars: outcome s leaves the neighbor of the measured head
+    in 1/2 [v0 + (-1)^s v1, v0 - (-1)^s e^{i theta} v1]; then ``frame``, or else the
+    frozen frame of the realized outcomes. Returns amplitudes and |<input|output>|^2."""
     v0, v1 = complex(qubit.amp0), complex(qubit.amp1)
     realized = []
     for k, theta in enumerate(thetas):
@@ -610,10 +602,11 @@ def _wire_kernel(
             w0, w1 = 0.5 * (v0 - v1), 0.5 * (v0 + phase_v1)
         v0, v1 = w0 / math.sqrt(prob), w1 / math.sqrt(prob)
         realized.append(out)
-    (g00, g01), (g10, g11) = _wire_correction(n, tuple(realized)).matrices[0].tolist()
+    frame = frame or _wire_correction(len(thetas) + 1, tuple(realized))
+    (g00, g01), (g10, g11) = frame.matrices[0].tolist()
     c0, c1 = g00 * v0 + g01 * v1, g10 * v0 + g11 * v1
     for norm in (abs(v0) ** 2 + abs(v1) ** 2, abs(c0) ** 2 + abs(c1) ** 2):
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:  # NaN fails too
             raise ValueError(f"state not normalized: |amp|^2 = {norm}")
     amplitudes = np.array([c0, c1])
     return amplitudes, float(abs(np.vdot(qubit.as_array(), amplitudes)) ** 2)
@@ -632,9 +625,9 @@ def wire_transfer(
     Only the head of the chain is ever measured, so the qubit is carried as
     one 2-vector, updated once per measured site; Born sampling draws one
     ``rng.random()`` per site, as ``states.measure`` does. The branch
-    correction, fixed by the parities of the even- and odd-indexed outcomes,
-    is derived once per class at zero noise on a generic reference input and
-    cached. Returns the corrected output qubit and its fidelity |<input|output>|^2.
+    correction is read from a frozen table keyed by n mod 2 and the parities
+    of the even- and odd-indexed outcomes. Returns the corrected output qubit
+    and its fidelity |<input|output>|^2.
     """
     if n < 2:
         raise ValueError("wire needs at least 2 sites")
@@ -642,7 +635,7 @@ def wire_transfer(
     if len(thetas) != n - 1:
         raise ValueError(f"expected {n - 1} thetas")
     forced = _forced_outcomes(outcomes, n - 1, rng)
-    amplitudes, fid = _wire_kernel(n, input_qubit, thetas, forced, rng)
+    amplitudes, fid = _wire_kernel(input_qubit, thetas, forced, rng)
     return PureState(1, amplitudes), fid
 
 
@@ -653,14 +646,14 @@ def wire_fidelity_mc(
     n_samples: int,
     master_seed: int,
 ) -> SampleStats:
-    """Mean postselected wire fidelity under i.i.d. edge deviations."""
+    """Mean postselected wire fidelity under i.i.d. edge deviations. Sample k runs
+    the all-zero branch on row k of ``phasenoise._seeded_rows``, drawn as it is used."""
     if n < 2:
         raise ValueError("wire needs at least 2 sites")
-    values = np.empty(n_samples, dtype=float)
-    for k in range(n_samples):
-        rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(k,)))
-        thetas = dist.sample(rng, n - 1).tolist()
-        values[k] = _wire_kernel(n, input_qubit, thetas, (0,) * (n - 1), None)[1]
+    zeros, values = (0,) * (n - 1), np.empty(n_samples)
+    frame = _wire_correction(n, zeros)  # every sample takes the all-zero branch
+    for k, row in enumerate(_seeded_rows(dist, n - 1, n_samples, master_seed)):
+        values[k] = _wire_kernel(input_qubit, row.tolist(), zeros, None, frame)[1]
     return _stats_from_samples(values, master_seed)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -77,6 +77,16 @@ class PhaseDistribution:
         else:
             draw = np.full(() if size is None else size, self.param)
         return float(draw) if size is None else draw
+
+
+def _seeded_rows(
+    dist: PhaseDistribution, width: int, n_samples: int, master_seed: int
+) -> Iterator[np.ndarray]:
+    """The stream every Monte Carlo estimate reads: row k is ``width`` draws from a generator
+    seeded by (master_seed, spawn_key=(k,)), made only when asked for."""
+    for k in range(n_samples):
+        rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(k,)))
+        yield dist.sample(rng, width)
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,7 @@ class InputQubit:
 
     def __post_init__(self) -> None:
         norm = abs(self.amp0) ** 2 + abs(self.amp1) ** 2
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:  # NaN fails too
             raise ValueError(f"input qubit not normalized: |amp|^2 = {norm}")
 
     def as_array(self) -> np.ndarray:
@@ -97,7 +97,7 @@ class PureState:
         if amps.shape != (1 << n,):
             raise ValueError(f"amplitude length {amps.shape} != 2^{n}")
         norm = float(np.vdot(amps, amps).real)
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:
             raise ValueError(f"state not normalized: |amp|^2 = {norm}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -123,13 +123,13 @@ class DensityMatrix:
 
 def check_density(rho: np.ndarray) -> None:
     """Raise ValueError unless every matrix of the ``(..., d, d)`` stack is
-    Hermitian, unit-trace and positive semidefinite."""
-    if np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj())) > HERMITIAN_ATOL:
+    Hermitian, unit-trace and positive semidefinite; NaN fails every test."""
+    if not np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj())) <= HERMITIAN_ATOL:
         raise ValueError("density matrix not hermitian")
     tr = np.trace(rho, axis1=-2, axis2=-1)
-    if np.max(np.abs(tr - 1.0)) > NORM_ATOL:
+    if not np.max(np.abs(tr - 1.0)) <= NORM_ATOL:
         raise ValueError(f"trace {tr} != 1")
-    if np.min(np.linalg.eigvalsh(rho)[..., 0]) < -PSD_ATOL:
+    if not np.min(np.linalg.eigvalsh(rho)[..., 0]) >= -PSD_ATOL:
         raise ValueError("density matrix has a significantly negative eigenvalue")
 
 

@@ -274,6 +274,25 @@ def test_sampled_mean_concurrence_fixed_dist():
     assert got == pytest.approx(expect, abs=1e-12)
 
 
+def test_sampled_mean_concurrence_equals_per_edge_transfers_bit_for_bit():
+    """One expression per sample against n - 1 fixed-distribution transfers."""
+    for n, pair, dist in [
+        (4, (1, 2), PhaseDistribution.gaussian(0.3)),
+        (6, (2, 5), PhaseDistribution.flat(2.0 * math.pi)),
+        (5, (1, 5), PhaseDistribution.gaussian(1e6)),
+        (3, (1, 3), PhaseDistribution.fixed(-0.0)),
+        (3, (1, 2), PhaseDistribution.fixed(math.pi)),
+    ]:
+        total = 0.0
+        for k in range(12):
+            rng = np.random.default_rng(np.random.SeedSequence(9, spawn_key=(k,)))
+            transfers = [
+                _doubled_transfer(PhaseDistribution.fixed(t)) for t in dist.sample(rng, n - 1)
+            ]
+            total += concurrence(DensityMatrix(2, _pair_states(n, transfers, [pair])[0]))
+        assert sampled_mean_concurrence(n, dist, pair, 12, seed=9) == total / 12
+
+
 def test_sampled_mean_concurrence_guard():
     d = PhaseDistribution.gaussian(0.5)
     with pytest.raises(ValueError, match="at least one sample"):

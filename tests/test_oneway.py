@@ -29,6 +29,7 @@ from noisycluster.oneway import (
 )
 from noisycluster.phasenoise import PhaseDistribution
 from noisycluster.states import (
+    DensityMatrix,
     FORCE_PROB_ATOL,
     HADAMARD,
     InputQubit,
@@ -615,27 +616,62 @@ def test_wire_kernel_norm_guard_keeps_its_message():
         wire_fidelity_mc(3, q, PhaseDistribution.gaussian(0.5), 2, SEED)
 
 
-def test_wire_fidelity_mc_builds_no_state_per_sample(monkeypatch):
-    q, dist = InputQubit.plus(), PhaseDistribution.gaussian(0.5)
-    wire_fidelity_mc(12, q, dist, 2, SEED)  # derives and caches the corrections it meets
+def refuse_search_and_count_states(monkeypatch):
+    """Make any Clifford search fail, and log apply_local and PureState calls."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a wire reached derive_local_correction")
+
+    monkeypatch.setattr(oneway, "derive_local_correction", refuse)
+    monkeypatch.setattr(clusters, "derive_local_correction", refuse)
     calls = []
 
     def counting(name, fn):
         return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
 
-    for name in ("apply_local", "derive_local_correction"):
-        monkeypatch.setattr(oneway, name, counting(name, getattr(oneway, name)))
+    monkeypatch.setattr(oneway, "apply_local", counting("apply_local", oneway.apply_local))
     monkeypatch.setattr(clusters, "apply_local", counting("apply_local", clusters.apply_local))
-    init = PureState.__post_init__
-    monkeypatch.setattr(PureState, "__post_init__", counting("PureState", init))
-    before = oneway._wire_class_correction.cache_info()
-    stats = wire_fidelity_mc(12, q, dist, 2, SEED)
-    after = oneway._wire_class_correction.cache_info()
-    assert after.misses == before.misses
-    assert calls == []
-    assert stats == wire_fidelity_mc(12, q, dist, 2, SEED)
-    wire_transfer(12, q)  # wire_transfer wraps its result in exactly one PureState
-    assert calls == ["PureState"]
+    monkeypatch.setattr(PureState, "__post_init__", counting("PureState", PureState.__post_init__))
+    return calls
+
+
+def test_wire_fidelity_mc_builds_no_state_per_sample(monkeypatch):
+    """Cold, with no warm-up call: the frames are constants, not search results."""
+    calls = refuse_search_and_count_states(monkeypatch)
+    q, dist = random_input(np.random.default_rng(SEED)), PhaseDistribution.gaussian(0.5)
+    for n in range(2, 21):
+        calls.clear()
+        stats = wire_fidelity_mc(n, q, dist, 3, SEED)
+        assert stats.n_samples == 3
+        assert calls == []
+        assert stats == wire_fidelity_mc(n, q, dist, 3, SEED)
+        calls.clear()
+        wire_transfer(n, q)  # wire_transfer wraps its result in exactly one PureState
+        assert calls == ["PureState"]
+
+
+def test_wire_correction_cache_holds_one_entry_per_parity_class(monkeypatch):
+    """The correction store is the frozen frame table: one word per (n mod 2, even
+    parity, odd parity), met by every forced and Born-sampled wire with no search."""
+    assert sorted(oneway._WIRE_FRAMES) == list(itertools.product((0, 1), repeat=3))
+    calls = refuse_search_and_count_states(monkeypatch)
+    rng = np.random.default_rng(SEED)
+    q = random_input(rng)
+    for n in range(2, 21):
+        for outcomes in ["zero", tuple(rng.integers(0, 2, n - 1))]:
+            calls.clear()
+            assert wire_transfer(n, q, outcomes=outcomes)[1] == pytest.approx(1.0, abs=1e-12)
+            assert calls == ["PureState"]  # the one state wire_transfer returns
+        for _ in range(8):
+            calls.clear()
+            wire_transfer(n, q, rng.normal(0.0, 0.5, n - 1), outcomes="sample", rng=rng)
+            assert calls == ["PureState"]
+    met, lookup = set(), oneway._wire_correction
+    monkeypatch.setattr(
+        oneway, "_wire_correction", lambda n, out: met.add(lookup(n, out).names) or lookup(n, out)
+    )
+    for _ in range(50):
+        wire_transfer(200, InputQubit.plus(), outcomes="sample", rng=rng)
+    assert 1 <= len(met) <= 4
 
 
 def test_stats_from_samples_equals_numpy_std():
@@ -695,12 +731,17 @@ def test_wire_step_matches_dense_born_sampling(n, monkeypatch):
         assert fid == pytest.approx(dense_fid, abs=1e-12)
 
 
+# generic reference state: not an eigenvector of any nontrivial single-qubit
+# Clifford, so a correction derived on it is the exact operator inverse
+WIRE_REFERENCE = InputQubit(0.6, 0.8 * np.exp(1j * math.pi / 5.0))
+
+
 def dense_wire_correction(n, outcomes):
     """The branch correction as once derived, on a dense n-site chain."""
-    state = build_cluster(chain_graph(n), {1: oneway._WIRE_REFERENCE})
+    state = build_cluster(chain_graph(n), {1: WIRE_REFERENCE})
     for out in outcomes:
         _, _, state = measure(state, 1, MeasurementBasis.x(), force=out)
-    target = PureState(1, oneway._WIRE_REFERENCE.as_array())
+    target = PureState(1, WIRE_REFERENCE.as_array())
     return derive_local_correction(state, target, [1])
 
 
@@ -713,27 +754,25 @@ def test_wire_correction_matches_dense_derivation(n):
 
 
 def per_branch_wire_correction(n, outcomes):
-    """The correction derived on the branch itself, as the cache once did."""
-    actual, _ = reference_wire_steps(oneway._WIRE_REFERENCE, [0.0] * (n - 1), outcomes, None)
-    target = PureState(1, oneway._WIRE_REFERENCE.as_array())
+    """The correction derived by Clifford search on the branch itself, at zero noise."""
+    actual, _ = reference_wire_steps(WIRE_REFERENCE, [0.0] * (n - 1), outcomes, None)
+    target = PureState(1, WIRE_REFERENCE.as_array())
     return derive_local_correction(PureState(1, actual), target, [1])
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", [*range(2, 13), 200, 201, 1000, 1001])
 def test_wire_parity_class_correction_equals_per_branch_derivation(n):
-    for outcomes in itertools.product((0, 1), repeat=n - 1):
+    """The frozen frames against the search: every branch up to n = 12, then
+    40 seeded random branches per length."""
+    if n <= 12:
+        branches = itertools.product((0, 1), repeat=n - 1)
+    else:
+        branches = map(tuple, np.random.default_rng(SEED + n).integers(0, 2, (40, n - 1)))
+    for outcomes in branches:
         got = oneway._wire_correction(n, outcomes)
         expect = per_branch_wire_correction(n, outcomes)
         assert (got.qubits, got.names) == (expect.qubits, expect.names), outcomes
         assert all((a == b).all() for a, b in zip(got.matrices, expect.matrices)), outcomes
-
-
-def test_wire_correction_cache_holds_one_entry_per_parity_class():
-    oneway._wire_class_correction.cache_clear()
-    rng = np.random.default_rng(SEED)
-    for _ in range(50):
-        wire_transfer(200, InputQubit.plus(), outcomes="sample", rng=rng)
-    assert oneway._wire_class_correction.cache_info().currsize <= 4
 
 
 @pytest.mark.parametrize("n", [1, 0, -3])
@@ -901,13 +940,58 @@ def test_gate_fidelity_mc_deterministic_and_matches_once():
     first = gate_fidelity_mc(cfg, inputs, dist, 64, SEED)
     assert first == gate_fidelity_mc(cfg, inputs, dist, 64, SEED)
     # the batched contraction against one gate_fidelity_once per sample
-    once = []
+    once, rows = [], []
     for k in range(64):
         rng = np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(k,)))
         thetas = {e: dist.sample(rng) for e in cfg.graph.edges}
         once.append(gate_fidelity_once(cfg, inputs, thetas))
+        rows.append(list(thetas.values()))
     assert first.mean == pytest.approx(np.mean(once), abs=1e-12)
+    # and bit for bit against the same per-sample rows, stacked by hand
+    values = oneway._zero_branch_fidelities(cfg, inputs, np.array(rows))
+    assert first == oneway._stats_from_samples(values, SEED)
     assert 0.0 < first.mean < 1.0
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: InputQubit(NAN, 0.0), "input qubit not normalized"),
+        (lambda: PureState(1, [NAN, 0.0]), "state not normalized"),
+        (lambda: DensityMatrix(1, [[NAN, 0.0], [0.0, 1.0]]), "density matrix not hermitian"),
+        (lambda: chain_graph(3, [NAN, 0.0]), r"edge \(1, 2\) deviation must be finite"),
+        (lambda: chain_graph(3, [0.0, math.inf]), r"edge \(2, 3\) deviation must be finite"),
+        (lambda: wire_transfer(3, InputQubit.plus(), [NAN, 0.1]), "state not normalized"),
+        (
+            lambda: wire_transfer(
+                3, InputQubit.plus(), [0.1, NAN], outcomes="sample", rng=np.random.default_rng(SEED)
+            ),
+            "state not normalized",
+        ),
+        (
+            lambda: gate_fidelity_once(
+                config_cnot4(), {1: InputQubit.plus(), 3: InputQubit.zero()}, {(1, 2): NAN}
+            ),
+            "deviation must be finite",
+        ),
+        (
+            lambda: run_gate(
+                config_cnot4(), {1: InputQubit.plus(), 3: InputQubit.zero()}, {(1, 2): NAN}
+            ),
+            "deviation must be finite",
+        ),
+    ],
+    ids=[
+        "InputQubit", "PureState", "DensityMatrix", "chain_graph-nan", "chain_graph-inf",
+        "wire_transfer", "wire_transfer-sample", "gate_fidelity_once", "run_gate",
+    ],
+)
+def test_nan_fails_every_guard(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_gate_fidelity_mc_needs_two_samples():

@@ -16,6 +16,7 @@ from noisycluster.phasenoise import (
     DEPHASING_FAMILIES,
     OverlapResult,
     PhaseDistribution,
+    _seeded_rows,
     dephasing_fidelity,
     overlap_avg,
     overlap_exact,
@@ -137,6 +138,23 @@ def test_distribution_validation():
 def test_distribution_rejects_non_finite(make, param):
     with pytest.raises(ValueError, match="finite"):
         make(param)
+
+
+@pytest.mark.parametrize("dist", [
+    PhaseDistribution.flat(1.3), PhaseDistribution.gaussian(0.4), PhaseDistribution.fixed(-0.7),
+])
+def test_seeded_rows_equal_the_per_sample_loop(dist):
+    for seed, width, n_samples in [(0, 1, 5), (42, 14, 30), (2**40 + 3, 999, 4)]:
+        rows = list(_seeded_rows(dist, width, n_samples, seed))
+        assert len(rows) == n_samples
+        for k, row in enumerate(rows):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+            expect = dist.sample(rng, width)
+            assert row.dtype == expect.dtype and row.shape == (width,)
+            assert (row == expect).all()
+    # rows are made one at a time, when asked for
+    stream = _seeded_rows(dist, 3, 10**15, 5)
+    assert (next(stream) == list(_seeded_rows(dist, 3, 1, 5))[0]).all()
 
 
 # --- exact overlaps ---
