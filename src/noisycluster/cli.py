@@ -22,7 +22,8 @@ import numpy as np
 
 from . import __version__
 from .clusters import _twisted_cluster, load_graph, verify_stabilizers
-from .entanglement import pair_scan
+# pair_scan is unused here; bench/spans.py looks it up on this module to trace it
+from .entanglement import pair_scan, pair_scan_grid  # noqa: F401
 from .oneway import gate_configs, gate_fidelity_mc, wire_fidelity_mc
 # overlap_avg is unused here; bench/spans.py looks it up on this module to trace it
 from .phasenoise import PhaseDistribution, dephasing_fidelity, overlap_avg, overlap_scan  # noqa: F401
@@ -48,6 +49,9 @@ _SCHEMAS = {
     "wire-scan": ("N", "sigma", "mean", "stderr"),
     "stabilizer-check": ("site", "eigenvalue", "expected", "ok"),
 }
+
+# rows per joined write: a long table is never held a second time as one string
+_WRITE_BLOCK = 4096
 
 
 class ExperimentError(RuntimeError):
@@ -86,24 +90,33 @@ class ResultTable:
                 raise ValueError("row width does not match columns")
 
     def write(self, out: TextIO, with_timestamp: bool = True) -> None:
-        for key, value in self.metadata.items():
-            out.write(f"# {key}: {value}\n")
+        lines = [f"# {key}: {value}\n" for key, value in self.metadata.items()]
         if with_timestamp:
             stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-            out.write(f"# timestamp: {stamp}\n")
-        out.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            out.write(",".join(_format_cell(v) for v in row) + "\n")
+            lines.append(f"# timestamp: {stamp}\n")
+        lines.append(",".join(self.columns) + "\n")
+        out.write("".join(lines))
+        for start in range(0, len(self.rows), _WRITE_BLOCK):
+            block = self.rows[start : start + _WRITE_BLOCK]
+            out.write("".join([_row_template(tuple(map(type, row))).format(*row) for row in block]))
+
+
+@functools.lru_cache(maxsize=None)
+def _cell_template(cls: type) -> str:
+    if issubclass(cls, (float, np.floating)):  # most cells; bool is not a float
+        return "{:.12g}"
+    if issubclass(cls, (int, np.integer)):  # bool formats as 1 / 0
+        return "{:d}"
+    return "{!s}"  # np.bool_ too: it is neither an int nor a bool
+
+
+@functools.lru_cache(maxsize=None)
+def _row_template(types: tuple[type, ...]) -> str:
+    return ",".join(map(_cell_template, types)) + "\n"
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, (float, np.floating)):  # most cells; bool is not a float
-        return f"{float(value):.12g}"
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+    return _cell_template(type(value)).format(value)
 
 
 # --- experiment implementations ---------------------------------------------
@@ -155,12 +168,13 @@ def _run_concurrence_scan(params: Mapping[str, Any]) -> list[tuple]:
     grid = params.get("grid")
     if grid is None:
         grid = np.linspace(0.1, 1.0, 10)
-    rows = []
-    for sigma in grid:
-        for analysis in pair_scan(n, PhaseDistribution.gaussian(float(sigma))):
-            i, j = analysis.pair
-            rows.append((n, float(sigma), i, j, analysis.concurrence, analysis.ppt_min_eig))
-    return rows
+    sigmas = [float(sigma) for sigma in grid]
+    scans = pair_scan_grid(n, [PhaseDistribution.gaussian(sigma) for sigma in sigmas])
+    return [
+        (n, sigma, *analysis.pair, analysis.concurrence, analysis.ppt_min_eig)
+        for sigma, scan in zip(sigmas, scans)
+        for analysis in scan
+    ]
 
 
 def _run_wire_scan(params: Mapping[str, Any]) -> list[tuple]:

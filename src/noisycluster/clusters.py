@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -207,12 +207,12 @@ def verify_stabilizers(state: PureState, graph: ClusterGraph) -> StabilizerRepor
 _S_GATE = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex)
 
 
-def _equal_up_to_phase(a: np.ndarray, b: np.ndarray) -> bool:
-    fa, fb = a.reshape(-1), b.reshape(-1)
-    k = int(np.argmax(np.abs(fb)))
-    if abs(fa[k]) < 1e-6:
-        return False
-    return bool(np.allclose(a * (fb[k] / fa[k]), b, atol=1e-7))
+# breadth-first from I by word length, H before S; a word's leftmost gate acts last
+_CLIFFORD_WORDS = (
+    "I", "H", "S", "SH", "HS", "SS", "HSH", "SSH", "SHS", "HSS", "SSS", "SHSH",
+    "HSSH", "SSSH", "SSHS", "SHSS", "SSHSH", "SHSSH", "HSSHS", "SSSHS", "SSHSS",
+    "HSSHSH", "SSSHSH", "SSHSSH",
+)
 
 
 @functools.lru_cache(maxsize=1)
@@ -221,24 +221,16 @@ def clifford_group_1q() -> tuple[tuple[str, np.ndarray], ...]:
 
     The enumeration order is fixed: identity first, then by word length with
     H before S. ``derive_local_correction`` searches in exactly this order.
+    Each matrix is the right fold G_1 @ (G_2 @ (... @ I)) of its word.
     """
-    gens = [("H", HADAMARD), ("S", _S_GATE)]
-    found: list[tuple[str, np.ndarray]] = [("I", IDENTITY_2.copy())]
-    frontier = list(found)
-    while frontier:
-        nxt = []
-        for name, mat in frontier:
-            for gname, gmat in gens:
-                cand = gmat @ mat
-                if any(_equal_up_to_phase(cand, m) for _, m in found):
-                    continue
-                word = gname if name == "I" else gname + name
-                entry = (word, cand)
-                found.append(entry)
-                nxt.append(entry)
-        frontier = nxt
-    assert len(found) == 24
-    return tuple(found)
+    gens = {"H": HADAMARD, "S": _S_GATE}
+    group = [("I", IDENTITY_2.copy())]
+    for word in _CLIFFORD_WORDS[1:]:
+        mat = IDENTITY_2
+        for gate in reversed(word):
+            mat = gens[gate] @ mat
+        group.append((word, mat))
+    return tuple(group)
 
 
 @dataclass(frozen=True)

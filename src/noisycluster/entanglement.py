@@ -100,7 +100,7 @@ def averaged_pair_state(
     char(z_j z_{j+1} - z'_j z'_{j+1}), with z = z' on the traced sites.
     """
     _check_pair(n, pair)
-    return DensityMatrix(2, _pair_states(n, [_doubled_transfer(dist)] * (n - 1), [pair])[0])
+    return DensityMatrix(2, _pair_states(n, [[_doubled_transfer(dist)] * (n - 1)], [pair])[0, 0])
 
 
 def _doubled_transfer(dist: PhaseDistribution) -> np.ndarray:
@@ -109,43 +109,70 @@ def _doubled_transfer(dist: PhaseDistribution) -> np.ndarray:
 
 
 def _pair_states(
-    n: int, transfers: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]]
+    n: int, transfers: np.typing.ArrayLike, pairs: Sequence[tuple[int, int]]
 ) -> np.ndarray:
-    """Reduced states of ``pairs`` of an n-site chain, one transfer per edge.
+    """Reduced states of ``pairs`` of n-site chains, one transfer per edge.
 
+    ``transfers`` is ``(S, n - 1, 4, 4)``, one row per chain; the result is
+    ``(S, P, 4, 4)``, and a chain's states do not depend on the other chains.
     Pair (i, j) is left[i] middle(i, j) right[j] over [(z_i, z_i'), (z_j, z_j')]:
     left[i] sums the traced sites before i, right[j] those after j, and
     middle(i, j) = T_i D T_{i+1} ... D T_{j-1} with D = diag(1, 0, 0, 1).
     """
     # a factor 1/2 per edge and one at site 1 give 2^-n without forming 2.0**n
     t = 0.5 * np.asarray(transfers)
-    left, right = [np.full(4, 0.5 + 0j)], [np.ones(4, dtype=complex)]
+    chains = len(t)
+    # (S, 1, 4) rows and (S, 4, 1) columns: each chain's matmul keeps the
+    # vector-matrix shape of a single chain, and with it the same bits
+    left = [np.full((chains, 1, 4), 0.5 + 0j)]
+    right = [np.ones((chains, 4, 1), dtype=complex)]
     for k in range(n - 1):
-        left.append((left[-1] * _TRACED) @ t[k])
-        right.append(t[n - 2 - k] @ (_TRACED * right[-1]))
+        left.append((left[-1] * _TRACED) @ t[:, k])
+        right.append(t[:, n - 2 - k] @ (_TRACED[:, None] * right[-1]))
     first, second = np.array(pairs).T - 1
     gaps, lo = second - first, first.min()
-    middle = t[lo : first.max() + 1]  # middle[s] spans sites lo + s .. lo + s + gap
-    out = np.empty((len(pairs), 4, 4), dtype=complex)
+    middle = t[:, lo : first.max() + 1]  # middle[:, s] spans sites lo + s .. lo + s + gap
+    out = np.empty((chains, len(pairs), 4, 4), dtype=complex)
     for gap in range(1, gaps.max() + 1):
-        out[gaps == gap] = middle[first[gaps == gap] - lo]
-        middle = middle[: n - 1 - lo - gap]  # the start sites with a next edge
-        middle = (middle * _TRACED) @ t[lo + gap : lo + gap + len(middle)]
-    states = np.array(left)[first, :, None] * out * np.array(right[::-1])[second, None, :]
+        out[:, gaps == gap] = middle[:, first[gaps == gap] - lo]
+        middle = middle[:, : n - 1 - lo - gap]  # the start sites with a next edge
+        middle = (middle * _TRACED) @ t[:, lo + gap : lo + gap + middle.shape[1]]
+    lefts = np.stack(left, axis=1).reshape(chains, n, 4)[:, first, :, None]
+    rights = np.stack(right[::-1], axis=1).reshape(chains, n, 4)[:, second, None, :]
+    states = lefts * out * rights
     # [(a, a'), (b, b')] -> [(a, b), (a', b')]
-    return states.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
+    states = states.reshape(chains, -1, 2, 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    return states.reshape(chains, -1, 4, 4)
+
+
+# matrices per batched analysis: small chains share one stack across many
+# distributions, long ones take one distribution at a time
+_GRID_BLOCK = 4096
+
+
+def pair_scan_grid(n: int, dists: Sequence[PhaseDistribution]) -> list[list[PairAnalysis]]:
+    """``pair_scan`` of an n-site chain for each distribution of ``dists``.
+
+    Entry k equals ``pair_scan(n, dists[k])`` bit for bit. The chains are
+    checked and scored in blocks of at most ``_GRID_BLOCK`` pair states.
+    """
+    _check_pair(n, (1, 2))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    per_block = max(1, _GRID_BLOCK // len(pairs))
+    scans = []
+    for start in range(0, len(dists), per_block):
+        block = [[_doubled_transfer(d)] * (n - 1) for d in dists[start : start + per_block]]
+        states = _pair_states(n, block, pairs).reshape(-1, 4, 4)
+        check_density(states)
+        values = zip(_concurrences(states).tolist(), _ppt_min_eigenvalues(states).tolist())
+        for _ in block:
+            scans.append([PairAnalysis(pair, *next(values)) for pair in pairs])
+    return scans
 
 
 def pair_scan(n: int, dist: PhaseDistribution) -> list[PairAnalysis]:
     """Analyze every site pair of an n-site chain, lexicographic order."""
-    _check_pair(n, (1, 2))
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    states = _pair_states(n, [_doubled_transfer(dist)] * (n - 1), pairs)
-    check_density(states)
-    return [
-        PairAnalysis(pair, float(c), float(e))
-        for pair, c, e in zip(pairs, _concurrences(states), _ppt_min_eigenvalues(states))
-    ]
+    return pair_scan_grid(n, [dist])[0]
 
 
 def sampled_mean_concurrence(
@@ -169,5 +196,5 @@ def sampled_mean_concurrence(
     for row in _seeded_rows(dist, n - 1, n_samples, seed):
         char = np.exp(1j * np.multiply.outer(row, (-1, 0, 1)))  # e^{i k theta}, k = -1, 0, 1
         transfers = char[:, _PAIR_CHAR_INDEX] * PAIR_SIGN
-        total += concurrence(DensityMatrix(2, _pair_states(n, transfers, [pair])[0]))
+        total += concurrence(DensityMatrix(2, _pair_states(n, transfers[None], [pair])[0, 0]))
     return total / n_samples

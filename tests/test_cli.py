@@ -186,6 +186,61 @@ def test_format_cell():
     assert _format_cell("ghz") == "ghz"
 
 
+def legacy_format_cell(value) -> str:
+    """The per-cell isinstance chain the row templates replaced."""
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.12g}"
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return str(value)
+
+
+def legacy_rows(table):
+    return "".join(",".join(legacy_format_cell(v) for v in row) + "\n" for row in table.rows)
+
+
+def written(table):
+    buf = io.StringIO()
+    table.write(buf, with_timestamp=False)
+    return buf.getvalue()
+
+
+def test_row_templates_equal_the_per_cell_chain_on_a_hand_made_table():
+    rows = [
+        (np.float32(0.1), np.bool_(True), np.int32(-7), 3, "ghz"),
+        (math.nan, np.bool_(False), np.int64(2**40), 2.5, "x,{0}"),
+        (-0.0, True, 2**70, np.float64(1 / 3), ""),
+        (math.inf, False, np.uint8(255), np.int16(-1), "{!r}"),
+        (np.float16(-1e-5), 0, -(2**70), -math.inf, np.str_("w")),
+    ]
+    table = ResultTable(columns=("a", "b", "c", "d", "e"), rows=rows, metadata={"k": "v"})
+    assert written(table) == "# k: v\na,b,c,d,e\n" + legacy_rows(table)
+    for row in rows:
+        assert [_format_cell(v) for v in row] == [legacy_format_cell(v) for v in row]
+    assert legacy_rows(table).splitlines()[0] == "0.10000000149,True,-7,3,ghz"
+    assert legacy_rows(table).splitlines()[2] == "-0,1,1180591620717411303424,0.333333333333,"
+
+
+def test_long_tables_are_written_whole():
+    rows = [(k, k / 7, "s" if k % 3 else k * 0.5) for k in range(2 * cli._WRITE_BLOCK + 5)]
+    table = ResultTable(columns=("a", "b", "c"), rows=rows)
+    assert written(table) == "a,b,c\n" + legacy_rows(table)
+
+
+def test_row_templates_equal_the_per_cell_chain_on_every_subcommand(tmp_path):
+    graph = tmp_path / "chain.graph"
+    graph.write_text("site 1\nsite 2\nsite 3\nedge 1 2\nedge 2 3\nkappa 2 1\n")
+    # defaults, except fewer Monte Carlo samples: the row types are the same
+    params = {"fig-cnot": {"samples": 20}, "wire-scan": {"samples": 20}}
+    params["stabilizer-check"] = {"graph": str(graph)}
+    for kind in cli.EXPERIMENT_KINDS:
+        table = run_experiment(ExperimentSpec(kind=kind, params=params.get(kind, {})))
+        assert table.rows
+        assert written(table).endswith("\n" + legacy_rows(table))
+
+
 def test_result_table_row_width_checked():
     with pytest.raises(ValueError):
         ResultTable(columns=("a", "b"), rows=[(1,)])

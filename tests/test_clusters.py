@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from noisycluster.clusters import (
+    _S_GATE,
     ClusterGraph,
     NoLocalCorrectionError,
     UnsupportedGraphError,
@@ -22,6 +23,8 @@ from noisycluster.clusters import (
     verify_stabilizers,
 )
 from noisycluster.states import (
+    HADAMARD,
+    IDENTITY_2,
     PAULI_Z,
     InputQubit,
     apply_cphase,
@@ -206,12 +209,46 @@ def test_verify_stabilizers_size_mismatch():
 # --- single-qubit Clifford enumeration ---
 
 
+def _equal_up_to_phase(a, b):
+    fa, fb = a.reshape(-1), b.reshape(-1)
+    k = int(np.argmax(np.abs(fb)))
+    if abs(fa[k]) < 1e-6:
+        return False
+    return bool(np.allclose(a * (fb[k] / fa[k]), b, atol=1e-7))
+
+
+def clifford_search():
+    """Breadth-first enumeration from I, H before S, skipping phase duplicates."""
+    gens = [("H", HADAMARD), ("S", _S_GATE)]
+    found = [("I", IDENTITY_2.copy())]
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for name, mat in frontier:
+            for gname, gmat in gens:
+                cand = gmat @ mat
+                if any(_equal_up_to_phase(cand, m) for _, m in found):
+                    continue
+                entry = (gname if name == "I" else gname + name, cand)
+                found.append(entry)
+                nxt.append(entry)
+        frontier = nxt
+    return found
+
+
 def test_clifford_group_size_and_order():
     group = clifford_group_1q()
     assert len(group) == 24
     assert group[0][0] == "I"
     names = [name for name, _ in group]
     assert "H" in names and "S" in names
+
+
+def test_clifford_constants_equal_the_search():
+    group, search = clifford_group_1q(), clifford_search()
+    assert [name for name, _ in group] == [name for name, _ in search]
+    for (_, mat), (_, ref) in zip(group, search):
+        assert mat.dtype == ref.dtype and (mat == ref).all()
 
 
 def test_clifford_group_elements_unitary_and_distinct():

@@ -10,14 +10,17 @@ import math
 import numpy as np
 import pytest
 
+from noisycluster import entanglement
 from noisycluster.clusters import build_cluster, chain_graph
 from noisycluster.entanglement import (
+    _GRID_BLOCK,
     PairAnalysis,
     _doubled_transfer,
     _pair_states,
     averaged_pair_state,
     concurrence,
     pair_scan,
+    pair_scan_grid,
     ppt_min_eigenvalue,
     sampled_mean_concurrence,
 )
@@ -236,12 +239,15 @@ def test_pair_states_match_the_walk_per_edge():
     # transposed leg or a swapped environment would show
     rng = np.random.default_rng(SEED + 3)
     for n in (2, 3, 7, 12):
-        transfers = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(n - 1)]
+        # three chains in one call: a chain's states must not depend on its neighbours
+        transfers = rng.normal(size=(3, n - 1, 4, 4)) + 1j * rng.normal(size=(3, n - 1, 4, 4))
         pairs = list(itertools.combinations(range(1, n + 1), 2))
         got = _pair_states(n, transfers, pairs)
-        for k, pair in enumerate(pairs):
-            np.testing.assert_allclose(got[k], walk_pair_state(n, transfers, pair), atol=1e-12)
-            assert np.array_equal(_pair_states(n, transfers, [pair])[0], got[k])
+        assert got.shape == (3, len(pairs), 4, 4)
+        for s, chain in enumerate(transfers):
+            for k, pair in enumerate(pairs):
+                np.testing.assert_allclose(got[s, k], walk_pair_state(n, chain, pair), atol=1e-12)
+                assert np.array_equal(_pair_states(n, chain[None], [pair])[0, 0], got[s, k])
 
 
 def test_pair_scan_equals_single_pair_analysis():
@@ -252,6 +258,49 @@ def test_pair_scan_equals_single_pair_analysis():
             rho = averaged_pair_state(n, d, a.pair)
             assert a.concurrence == concurrence(rho)
             assert a.ppt_min_eig == ppt_min_eigenvalue(rho)
+
+
+CLI_GRID = np.linspace(0.1, 1.0, 10)  # the concurrence-scan default
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10, 40])
+def test_pair_scan_grid_equals_per_sigma_pair_scan(n):
+    dists = [PhaseDistribution.gaussian(float(sigma)) for sigma in CLI_GRID]
+    assert pair_scan_grid(n, dists) == [pair_scan(n, d) for d in dists]
+
+
+def test_pair_scan_grid_across_a_block_boundary():
+    n = 64  # 2016 pairs, so a block holds two distributions and five take three blocks
+    dists = [PhaseDistribution.gaussian(s) for s in (0.1, 0.4, 0.7)]
+    dists += [PhaseDistribution.flat(2.5), PhaseDistribution.fixed(0.3)]
+    assert len(dists) * n * (n - 1) // 2 > 2 * _GRID_BLOCK
+    assert pair_scan_grid(n, dists) == [pair_scan(n, d) for d in dists]
+
+
+@pytest.mark.parametrize(
+    "n, n_dists, blocks",
+    [(10, 10, [450]), (64, 5, [4032, 4032, 2016]), (100, 3, [4950, 4950, 4950])],
+)
+def test_pair_scan_grid_block_sizes(monkeypatch, n, n_dists, blocks):
+    # a block stacks at most _GRID_BLOCK pair states, unless one chain alone has more
+    sizes = []
+
+    def recording(n, transfers, pairs):
+        states = _pair_states(n, transfers, pairs)
+        sizes.append(states.shape[0] * states.shape[1])
+        return states
+
+    monkeypatch.setattr(entanglement, "_pair_states", recording)
+    pair_scan_grid(n, [PhaseDistribution.gaussian(s) for s in CLI_GRID[:n_dists]])
+    assert sizes == blocks
+
+
+def test_pair_scan_grid_edges():
+    assert pair_scan_grid(5, []) == []
+    for n in (1, 0, -3):
+        for dists in ([], [PhaseDistribution.gaussian(0.5)]):
+            with pytest.raises(ValueError, match="chain size"):
+                pair_scan_grid(n, dists)
 
 
 # --- sampled concurrence ---
@@ -289,7 +338,7 @@ def test_sampled_mean_concurrence_equals_per_edge_transfers_bit_for_bit():
             transfers = [
                 _doubled_transfer(PhaseDistribution.fixed(t)) for t in dist.sample(rng, n - 1)
             ]
-            total += concurrence(DensityMatrix(2, _pair_states(n, transfers, [pair])[0]))
+            total += concurrence(DensityMatrix(2, _pair_states(n, [transfers], [pair])[0, 0]))
         assert sampled_mean_concurrence(n, dist, pair, 12, seed=9) == total / 12
 
 
