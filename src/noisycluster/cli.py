@@ -22,11 +22,13 @@ import numpy as np
 
 from . import __version__
 from .clusters import _twisted_cluster, load_graph, verify_stabilizers
+from .entanglement import _pair_grid
 # pair_scan is unused here; bench/spans.py looks it up on this module to trace it
-from .entanglement import pair_scan, pair_scan_grid  # noqa: F401
+from .entanglement import pair_scan  # noqa: F401
 from .oneway import gate_configs, gate_fidelity_mc, wire_fidelity_mc
+from .phasenoise import PhaseDistribution, _overlap_rows, dephasing_fidelity
 # overlap_avg is unused here; bench/spans.py looks it up on this module to trace it
-from .phasenoise import PhaseDistribution, dephasing_fidelity, overlap_avg, overlap_scan  # noqa: F401
+from .phasenoise import overlap_avg  # noqa: F401
 from .states import InputQubit
 
 EXPERIMENT_KINDS = (
@@ -52,6 +54,10 @@ _SCHEMAS = {
 
 # rows per joined write: a long table is never held a second time as one string
 _WRITE_BLOCK = 4096
+
+# largest concurrence-scan table, pairs x grid points, refused before anything is
+# allocated: --n 400 on the default 10-point grid (798,000 rows) still runs
+_MAX_SCAN_ROWS = 10**6
 
 
 class ExperimentError(RuntimeError):
@@ -128,9 +134,9 @@ def _run_fig_noise(params: Mapping[str, Any]) -> list[tuple]:
         grid = np.linspace(0.0, 2.0 * math.pi, 64)
     dists = [PhaseDistribution.flat(float(lam)) for lam in grid]
     return [
-        (n, dist.param, res.fidelity_of_mean, res.mean_fidelity)
-        for n, results in zip(range(3, 11), overlap_scan(dists, range(3, 11)))
-        for dist, res in zip(dists, results)
+        (n, dist.param, fidelity_of_mean, mean_fidelity)
+        for n, rows in zip(range(3, 11), _overlap_rows(dists, range(3, 11)))
+        for dist, (_, fidelity_of_mean, mean_fidelity) in zip(dists, rows)
     ]
 
 
@@ -168,13 +174,15 @@ def _run_concurrence_scan(params: Mapping[str, Any]) -> list[tuple]:
     grid = params.get("grid")
     if grid is None:
         grid = np.linspace(0.1, 1.0, 10)
+    if max(n, 0) * max(n - 1, 0) // 2 * len(grid) > _MAX_SCAN_ROWS:
+        raise ExperimentError(
+            f"concurrence-scan of {n} sites on {len(grid)} grid points exceeds "
+            f"{_MAX_SCAN_ROWS} rows (pairs x grid points)"
+        )
     sigmas = [float(sigma) for sigma in grid]
-    scans = pair_scan_grid(n, [PhaseDistribution.gaussian(sigma) for sigma in sigmas])
-    return [
-        (n, sigma, *analysis.pair, analysis.concurrence, analysis.ppt_min_eig)
-        for sigma, scan in zip(sigmas, scans)
-        for analysis in scan
-    ]
+    pairs, concurrences, ppt = _pair_grid(n, [PhaseDistribution.gaussian(s) for s in sigmas])
+    values = zip(concurrences, ppt)
+    return [(n, sigma, i, j, *next(values)) for sigma in sigmas for i, j in pairs]
 
 
 def _run_wire_scan(params: Mapping[str, Any]) -> list[tuple]:

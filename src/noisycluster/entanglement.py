@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .phasenoise import PAIR_SIGN, PhaseDistribution, _PAIR_CHAR_INDEX, _seeded_rows, pair_transfer
-from .states import DensityMatrix, PAULI_Y, check_density
+from .states import DensityMatrix, PAULI_Y, _check_hermitian_unit_trace, _check_psd
 
 ENTANGLEMENT_TOL = 1e-9
 RANK_CUTOFF = 1e-14
@@ -37,12 +37,11 @@ def concurrence(rho: DensityMatrix) -> float:
     """
     if rho.num_qubits != 2:
         raise ValueError("concurrence is defined for two qubits")
-    return float(_concurrences(rho.entries[None])[0])
+    return float(_concurrences(*np.linalg.eigh(rho.entries[None]))[0])
 
 
-def _concurrences(rhos: np.ndarray) -> np.ndarray:
-    """Concurrence of each matrix of a (P, 4, 4) stack."""
-    w, v = np.linalg.eigh(rhos)
+def _concurrences(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Concurrence of each matrix of a (P, 4, 4) stack, given its ``np.linalg.eigh``."""
     w = np.clip(w, 0.0, None)
     # Roundoff-scale eigenvalues are exact zeros of a rank-deficient state.
     # Keeping them would inject sqrt(eps)-sized values into the spectrum.
@@ -150,24 +149,33 @@ def _pair_states(
 _GRID_BLOCK = 4096
 
 
-def pair_scan_grid(n: int, dists: Sequence[PhaseDistribution]) -> list[list[PairAnalysis]]:
-    """``pair_scan`` of an n-site chain for each distribution of ``dists``.
-
-    Entry k equals ``pair_scan(n, dists[k])`` bit for bit. The chains are
-    checked and scored in blocks of at most ``_GRID_BLOCK`` pair states.
-    """
+def _pair_grid(n: int, dists: Sequence[PhaseDistribution]) -> tuple[list, list, list]:
+    """The pairs of an n-site chain, lexicographic, and flat concurrence and PPT lists over
+    (distribution, pair). A block of at most ``_GRID_BLOCK`` pair states is checked and scored
+    with one ``eigh``, which feeds both the positive-semidefinite guard and the concurrence."""
     _check_pair(n, (1, 2))
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     per_block = max(1, _GRID_BLOCK // len(pairs))
-    scans = []
+    concurrences, ppt = [], []
     for start in range(0, len(dists), per_block):
         block = [[_doubled_transfer(d)] * (n - 1) for d in dists[start : start + per_block]]
         states = _pair_states(n, block, pairs).reshape(-1, 4, 4)
-        check_density(states)
-        values = zip(_concurrences(states).tolist(), _ppt_min_eigenvalues(states).tolist())
-        for _ in block:
-            scans.append([PairAnalysis(pair, *next(values)) for pair in pairs])
-    return scans
+        _check_hermitian_unit_trace(states)  # before LAPACK: NaN must not reach eigh
+        w, v = np.linalg.eigh(states)
+        _check_psd(w[:, 0])
+        concurrences += _concurrences(w, v).tolist()
+        ppt += _ppt_min_eigenvalues(states).tolist()
+    return pairs, concurrences, ppt
+
+
+def pair_scan_grid(n: int, dists: Sequence[PhaseDistribution]) -> list[list[PairAnalysis]]:
+    """``pair_scan`` of an n-site chain for each distribution of ``dists``.
+
+    Entry k equals ``pair_scan(n, dists[k])`` bit for bit.
+    """
+    pairs, concurrences, ppt = _pair_grid(n, dists)
+    values = zip(concurrences, ppt)
+    return [[PairAnalysis(pair, *next(values)) for pair in pairs] for _ in dists]
 
 
 def pair_scan(n: int, dist: PhaseDistribution) -> list[PairAnalysis]:

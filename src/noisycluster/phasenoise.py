@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -98,12 +98,17 @@ class OverlapResult:
     mean_fidelity: float
 
     def __post_init__(self) -> None:
-        for name in ("fidelity_of_mean", "mean_fidelity"):
-            v = getattr(self, name)
-            if not -RANGE_ATOL <= v <= 1.0 + RANGE_ATOL:
-                raise ValueError(f"{name} = {v} outside [0, 1]")
-        if self.mean_fidelity < self.fidelity_of_mean - RANGE_ATOL:
-            raise ValueError("mean fidelity below fidelity of the mean")
+        _overlap_row(self.mean_overlap, self.fidelity_of_mean, self.mean_fidelity)
+
+
+def _overlap_row(mean_overlap: complex, fidelity_of_mean: float, mean_fidelity: float) -> tuple:
+    """The three values as a tuple, once they pass ``OverlapResult``'s range checks."""
+    for name, v in (("fidelity_of_mean", fidelity_of_mean), ("mean_fidelity", mean_fidelity)):
+        if not -RANGE_ATOL <= v <= 1.0 + RANGE_ATOL:
+            raise ValueError(f"{name} = {v} outside [0, 1]")
+    if mean_fidelity < fidelity_of_mean - RANGE_ATOL:
+        raise ValueError("mean fidelity below fidelity of the mean")
+    return mean_overlap, fidelity_of_mean, mean_fidelity
 
 
 def overlap_exact(thetas: Sequence[float]) -> complex:
@@ -131,11 +136,11 @@ def pair_transfer(dist: PhaseDistribution) -> np.ndarray:
     return np.array([dist.char_value(k) for k in (-1, 0, 1)])[_PAIR_CHAR_INDEX]
 
 
-def overlap_scan(
-    dists: Sequence[PhaseDistribution], sizes: Sequence[int]
-) -> list[list[OverlapResult]]:
-    """Both phase averages for every chain size (outer) and distribution
-    (inner), with i.i.d. edge deviations, from one prefix sweep."""
+def _overlap_rows(
+    dists: Sequence[PhaseDistribution], sizes: Sequence[int], row: Callable = _overlap_row
+) -> list[list]:
+    """``overlap_scan``, with each entry made by ``row(mean_overlap, fidelity_of_mean,
+    mean_fidelity)``: a checked tuple by default, so the CLI builds no result object."""
     if any(n < 2 for n in sizes):
         raise ValueError("chain needs at least 2 sites")
     char = np.array([[d.char_value(k) for k in (-1, 0, 1)] for d in dists]).reshape(-1, 3)
@@ -151,8 +156,16 @@ def overlap_scan(
             if (worst := np.abs(mean_fid.imag).max(initial=0.0)) > 1e-10:
                 raise ValueError(f"mean fidelity has imaginary part {worst:.3e}")
             pairs = zip(v2.sum(axis=1).tolist(), mean_fid.tolist())
-            results[n] = [OverlapResult(f, abs(f) ** 2, g.real) for f, g in pairs]
+            results[n] = [row(f, abs(f) ** 2, g.real) for f, g in pairs]
     return [results[n] for n in sizes]
+
+
+def overlap_scan(
+    dists: Sequence[PhaseDistribution], sizes: Sequence[int]
+) -> list[list[OverlapResult]]:
+    """Both phase averages for every chain size (outer) and distribution
+    (inner), with i.i.d. edge deviations, from one prefix sweep."""
+    return _overlap_rows(dists, sizes, OverlapResult)
 
 
 def overlap_avg(dist: PhaseDistribution, n: int) -> OverlapResult:

@@ -124,12 +124,22 @@ class DensityMatrix:
 def check_density(rho: np.ndarray) -> None:
     """Raise ValueError unless every matrix of the ``(..., d, d)`` stack is
     Hermitian, unit-trace and positive semidefinite; NaN fails every test."""
+    _check_hermitian_unit_trace(rho)
+    _check_psd(np.linalg.eigvalsh(rho)[..., 0])
+
+
+def _check_hermitian_unit_trace(rho: np.ndarray) -> None:
+    """The part of ``check_density`` to run before any eigensolver sees ``rho``."""
     if not np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj())) <= HERMITIAN_ATOL:
         raise ValueError("density matrix not hermitian")
     tr = np.trace(rho, axis1=-2, axis2=-1)
     if not np.max(np.abs(tr - 1.0)) <= NORM_ATOL:
         raise ValueError(f"trace {tr} != 1")
-    if not np.min(np.linalg.eigvalsh(rho)[..., 0]) >= -PSD_ATOL:
+
+
+def _check_psd(lowest: np.ndarray) -> None:
+    """The rest of ``check_density``, given each matrix's lowest eigenvalue."""
+    if not np.min(lowest) >= -PSD_ATOL:
         raise ValueError("density matrix has a significantly negative eigenvalue")
 
 

@@ -18,7 +18,8 @@ from noisycluster.cli import (
     main,
     run_experiment,
 )
-from noisycluster.phasenoise import dephasing_fidelity
+from noisycluster.entanglement import pair_scan_grid
+from noisycluster.phasenoise import PhaseDistribution, dephasing_fidelity, overlap_scan
 
 
 def run_cli(capsys, *argv):
@@ -319,6 +320,64 @@ def test_concurrence_scan_shape(capsys):
     for r in rows:
         if (r[2], r[3]) in {("1", "3"), ("1", "4"), ("2", "4")}:
             assert float(r[4]) == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("grid", [None, np.linspace(0.0, 6.3, 997)])
+def test_fig_noise_rows_equal_overlap_scan_fields(grid):
+    lambdas = np.linspace(0.0, 2.0 * math.pi, 64) if grid is None else grid
+    dists = [PhaseDistribution.flat(float(lam)) for lam in lambdas]
+    expect = [
+        (n, dist.param, res.fidelity_of_mean, res.mean_fidelity)
+        for n, results in zip(range(3, 11), overlap_scan(dists, range(3, 11)))
+        for dist, res in zip(dists, results)
+    ]
+    params = {} if grid is None else {"grid": grid}
+    assert run_experiment(ExperimentSpec("fig-noise", params)).rows == expect
+
+
+@pytest.mark.parametrize(
+    "n, grid", [(2, None), (5, None), (10, None), (64, np.linspace(0.1, 3.0, 7))]
+)
+def test_concurrence_scan_rows_equal_pair_scan_grid_fields(n, grid):
+    # n = 64 has 2016 pairs, so its 7 sigmas take four 4096-state blocks
+    sigmas = [float(s) for s in (np.linspace(0.1, 1.0, 10) if grid is None else grid)]
+    scans = pair_scan_grid(n, [PhaseDistribution.gaussian(s) for s in sigmas])
+    expect = [
+        (n, sigma, *a.pair, a.concurrence, a.ppt_min_eig)
+        for sigma, scan in zip(sigmas, scans)
+        for a in scan
+    ]
+    params = {"n": n} if grid is None else {"n": n, "grid": grid}
+    assert run_experiment(ExperimentSpec("concurrence-scan", params)).rows == expect
+
+
+@pytest.mark.parametrize("argv", [("--n", "100000"), ("--n", "5", "--grid", "0:1:100001")])
+def test_concurrence_scan_refuses_oversized_tables_up_front(capsys, monkeypatch, argv):
+    def no_scan(*args):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(cli, "_pair_grid", no_scan)
+    code, out, err = run_cli(capsys, "concurrence-scan", *argv)
+    assert code == 2
+    assert err.startswith("cluster-bench: concurrence-scan of ") and "rows" in err
+    assert out == "" and "Traceback" not in err
+
+
+def test_concurrence_scan_row_limit_is_inclusive(monkeypatch):
+    seen = []
+
+    def empty_scan(n, dists):
+        seen.append(len(dists))
+        return [], [], []
+
+    monkeypatch.setattr(cli, "_pair_grid", empty_scan)
+    # 10 pairs of a 5-site chain
+    assert cli._run_concurrence_scan({"n": 5, "grid": np.zeros(cli._MAX_SCAN_ROWS // 10)}) == []
+    with pytest.raises(ExperimentError, match="rows"):
+        cli._run_concurrence_scan({"n": 5, "grid": np.zeros(cli._MAX_SCAN_ROWS // 10 + 1)})
+    assert seen == [cli._MAX_SCAN_ROWS // 10]
+    # --n 400 on the default grid, which runs, stays under the limit
+    assert 400 * 399 // 2 * 10 <= cli._MAX_SCAN_ROWS
 
 
 def test_fig_cnot_schema(capsys):

@@ -303,6 +303,58 @@ def test_pair_scan_grid_edges():
                 pair_scan_grid(n, dists)
 
 
+def _with_one_state_replaced(monkeypatch, replacement):
+    """Make the pair_scan_grid path see ``replacement`` as the state of pair (1, 2)."""
+
+    def patched(n, transfers, pairs):
+        states = _pair_states(n, transfers, pairs)
+        states[0, 0] = replacement
+        return states
+
+    monkeypatch.setattr(entanglement, "_pair_states", patched)
+
+
+def _counting_linalg(monkeypatch):
+    calls = {}
+    for name in ("eigh", "eigvalsh", "svd"):
+
+        def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_pair_scan_grid_rejects_a_negative_eigenvalue(monkeypatch):
+    # Hermitian and unit-trace, with one eigenvalue of -0.3
+    _with_one_state_replaced(monkeypatch, np.diag([0.6, 0.6, 0.1, -0.3]).astype(complex))
+    with pytest.raises(ValueError, match="significantly negative eigenvalue"):
+        pair_scan_grid(4, [PhaseDistribution.gaussian(s) for s in (0.2, 0.5)])
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [(np.full((4, 4), np.nan), "not hermitian"), (0.5 * np.eye(4), "trace")],
+)
+def test_pair_scan_grid_checks_before_any_eigensolver(monkeypatch, bad, message):
+    # a NaN must fail the Hermitian test with its message, never reach LAPACK
+    _with_one_state_replaced(monkeypatch, bad)
+    calls = _counting_linalg(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        pair_scan_grid(4, [PhaseDistribution.gaussian(0.5)])
+    assert calls == {}
+
+
+@pytest.mark.parametrize("n, n_dists, blocks", [(10, 10, 1), (64, 5, 3)])
+def test_pair_scan_grid_diagonalizes_each_block_once(monkeypatch, n, n_dists, blocks):
+    # one eigh feeds the positive-semidefinite guard and the concurrence;
+    # eigvalsh is the partial-transpose check
+    calls = _counting_linalg(monkeypatch)
+    pair_scan_grid(n, [PhaseDistribution.gaussian(s) for s in CLI_GRID[:n_dists]])
+    assert calls == {"eigh": blocks, "svd": blocks, "eigvalsh": blocks}
+
+
 # --- sampled concurrence ---
 
 

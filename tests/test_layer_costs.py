@@ -1,0 +1,39 @@
+"""Smoke test of tools/layer_costs.py: one per-layer pass into a temporary file."""
+
+import importlib.util
+import json
+import pathlib
+
+TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "layer_costs.py"
+
+
+def test_layer_pass_writes_every_piece(tmp_path, monkeypatch):
+    # the tool pins BLAS threads in os.environ at import; keep that inside this test
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    spec = importlib.util.spec_from_file_location("layer_costs", TOOL)
+    layer_costs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layer_costs)
+    out = tmp_path / "bench.json"
+    assert layer_costs.main([str(out), "--repeat", "1", "--budget", "0", "--layers-only"]) == 0
+    record = json.loads(out.read_text())
+    assert record["env"]["nproc"] >= 1 and record["env"]["numpy"]
+    assert set(record["env"]["threads"]) == set(layer_costs.THREAD_VARS)
+    assert "processes" not in record
+    assert set(record["layers"]) == {
+        "build_cluster",
+        "measure",
+        "mc_sample.cnot4",
+        "mc_sample.cnot15",
+        "mc_sample.cnot16_bridged",
+        "wire_sample",
+        "overlap_avg",
+        "averaged_pair_state",
+        "concurrence",
+        "_pair_grid",
+        "pair_scan_grid",
+        "_overlap_rows",
+        "overlap_scan",
+    }
+    for name, entry in record["layers"].items():
+        assert entry["ms"] > 0 and entry["loops"] == 1 and entry["repeat"] == 1, name

@@ -10,12 +10,14 @@ import math
 import numpy as np
 import pytest
 
-from noisycluster import cli
+from noisycluster import cli, phasenoise
 from noisycluster.clusters import build_cluster, chain_graph, grid_graph
 from noisycluster.phasenoise import (
     DEPHASING_FAMILIES,
     OverlapResult,
     PhaseDistribution,
+    _overlap_row,
+    _overlap_rows,
     _seeded_rows,
     dephasing_fidelity,
     overlap_avg,
@@ -302,6 +304,26 @@ def test_overlap_scan_edge_cases():
         overlap_scan(SCAN_DISTS, [5, 1])
 
 
+def test_overlap_rows_are_the_overlap_scan_fields():
+    sizes = [7, 2, 12, 7]
+    assert _overlap_rows(SCAN_DISTS, sizes) == [
+        [(r.mean_overlap, r.fidelity_of_mean, r.mean_fidelity) for r in results]
+        for results in overlap_scan(SCAN_DISTS, sizes)
+    ]
+    assert _overlap_rows([], [3, 4]) == [[], []]
+    assert _overlap_rows(SCAN_DISTS, []) == []
+    with pytest.raises(ValueError, match="at least 2"):
+        _overlap_rows(SCAN_DISTS, [5, 1])
+
+
+def test_overlap_rows_range_check_every_row(monkeypatch):
+    # with the band [0.5, 0.5] every value fails, so each path must raise
+    monkeypatch.setattr(phasenoise, "RANGE_ATOL", -0.5)
+    for scan in (_overlap_rows, overlap_scan):
+        with pytest.raises(ValueError, match="fidelity_of_mean = .* outside"):
+            scan(SCAN_DISTS, [3, 9])
+
+
 def test_overlap_avg_at_500_sites_matches_matrix_power():
     for dist in (PhaseDistribution.flat(0.05), PhaseDistribution.gaussian(0.02)):
         got, want = overlap_avg(dist, 500), overlap_avg_matrix_power(dist, 500)
@@ -344,6 +366,17 @@ def test_overlap_result_validation():
         OverlapResult(0.0, 1.5, 1.6)
     with pytest.raises(ValueError, match="below"):
         OverlapResult(0.0, 0.9, 0.2)
+    # the table path runs the same checks, with the same messages
+    for fidelity_of_mean, mean_fidelity, message in (
+        (1.5, 1.6, "fidelity_of_mean = 1.5 outside"),
+        (0.5, -0.1, "mean_fidelity = -0.1 outside"),
+        (math.nan, 0.5, "fidelity_of_mean = nan outside"),
+        (0.9, 0.2, "below"),
+    ):
+        for make in (_overlap_row, OverlapResult):
+            with pytest.raises(ValueError, match=message):
+                make(0.0, fidelity_of_mean, mean_fidelity)
+    assert _overlap_row(0.5j, 0.25, 0.5) == (0.5j, 0.25, 0.5)
 
 
 # --- dephasing fidelities ---

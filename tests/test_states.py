@@ -11,13 +11,17 @@ from noisycluster.states import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    PSD_ATOL,
     DensityMatrix,
     DephasingChannel,
     InputQubit,
     MeasurementBasis,
     PureState,
+    _check_hermitian_unit_trace,
+    _check_psd,
     apply_cphase,
     apply_local,
+    check_density,
     dephase,
     dephasing_kraus,
     fidelity_pure_mixed,
@@ -90,6 +94,43 @@ def test_density_matrix_validation():
     # hermitian, unit trace, but indefinite
     with pytest.raises(ValueError, match="negative eigenvalue"):
         DensityMatrix(1, np.array([[1.5, 0.0], [0.0, -0.5]]))
+
+
+
+def test_check_density_is_its_two_halves():
+    # the Hermitian/trace half runs before any eigensolver, the PSD half takes
+    # the lowest eigenvalues; together they are check_density, stack or single
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    good = m @ m.conj().transpose(0, 2, 1)
+    good /= np.trace(good, axis1=1, axis2=2)[:, None, None]
+    indefinite = np.diag([0.6, 0.6, 0.1, -0.3]).astype(complex)
+    nan = good[0].copy()
+    nan[1, 2] = np.nan
+    for rho in (good, good[0]):
+        check_density(rho)
+        _check_hermitian_unit_trace(rho)
+        _check_psd(np.linalg.eigvalsh(rho)[..., 0])
+    for rho, message in (
+        (nan, "not hermitian"),
+        (np.stack([good[1], nan]), "not hermitian"),
+        (np.eye(4) / 2, "trace"),
+    ):
+        for check in (check_density, _check_hermitian_unit_trace):
+            with pytest.raises(ValueError, match=message):
+                check(rho)
+    for rho in (indefinite, np.stack([good[0], indefinite])):
+        _check_hermitian_unit_trace(rho)
+        for check in (check_density, lambda r: _check_psd(np.linalg.eigvalsh(r)[..., 0])):
+            with pytest.raises(ValueError, match="significantly negative eigenvalue"):
+                check(rho)
+
+
+def test_check_psd_bound():
+    _check_psd(np.array([0.0, -PSD_ATOL]))
+    for lowest in (np.array([0.0, -2 * PSD_ATOL]), np.array([np.nan, 0.5]), np.array(-0.3)):
+        with pytest.raises(ValueError, match="significantly negative eigenvalue"):
+            _check_psd(lowest)
 
 
 def test_init_register_matches_kron():

@@ -1,0 +1,195 @@
+"""Layer-by-layer and whole-process costs of noisycluster, as one JSON file.
+
+    python3 tools/layer_costs.py BENCH_<n>.json [--repeat 5] [--budget 0.2] [--layers-only]
+
+The per-layer pass times one call of each engine piece in this process: each
+piece is called once to warm up, then ``--repeat`` times in a loop of as many
+calls as fit in ``--budget`` seconds; the median and minimum per-call times are
+recorded. The Monte Carlo pieces are reported per sample, from calls of
+``MC_SAMPLES`` samples. The process pass runs each ``cluster-bench``
+subcommand at its defaults (``--no-meta``, output discarded) ``--repeat``
+times in a fresh interpreter and records its wall and CPU time. The file
+also records the CPU count, the numpy and BLAS versions and the BLAS thread
+variables. Only the standard library and the package's own dependencies are
+used; a piece the imported package does not have is recorded as null.
+"""
+
+from __future__ import annotations
+
+import os
+
+# one BLAS thread unless the caller chose otherwise, set before numpy loads
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+
+import argparse
+import json
+import math
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+sys.path.insert(0, SRC)
+
+import numpy as np  # noqa: E402
+
+from noisycluster import cli, clusters, entanglement, oneway, phasenoise, states  # noqa: E402
+
+MC_SAMPLES = 200
+CLI_CALL = "import sys; from noisycluster.cli import main; sys.exit(main(sys.argv[1:]))"
+# README's example graph: 3-site chain, one flipped correlation sign, one noisy edge
+GRAPH = "site 1\nsite 2\nsite 3\nedge 1 2\nedge 2 3 0.25\nkappa 2 1\n"
+SUBCOMMANDS = (
+    ("fig-noise",),
+    ("fig-dephasing",),
+    ("fig-cnot",),
+    ("concurrence-scan",),
+    ("wire-scan",),
+    ("stabilizer-check", "--graph", "{graph}"),
+)
+
+
+def environment() -> dict:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas['name']} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):
+        blas_name = "unknown"
+    return {
+        "nproc": os.cpu_count(),
+        "cpus_usable": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas_name,
+        "threads": {v: os.environ.get(v) for v in THREAD_VARS},
+        "machine": platform.machine(),
+    }
+
+
+def pieces() -> dict:
+    """name -> (what, calls per timed call, zero-argument callable or None)."""
+    dist = phasenoise.PhaseDistribution
+    gauss, flat = dist.gaussian(0.5), dist.flat(1.0)
+    sigmas = [dist.gaussian(s) for s in np.linspace(0.1, 1.0, 10)]
+    lambdas = [dist.flat(x) for x in np.linspace(0.0, 2.0 * math.pi, 64)]
+    chain = clusters.chain_graph(12)
+    register = clusters.build_cluster(chain)
+    x_basis = states.MeasurementBasis("planar", 0.0)
+    rho = entanglement.averaged_pair_state(10, gauss, (3, 7))
+    out = {
+        "build_cluster": ("12-site chain", 1, lambda: clusters.build_cluster(chain)),
+        "measure": ("X on site 1 of a 12-site chain, forced 0", 1,
+                    lambda: states.measure(register, 1, x_basis, force=0)),
+    }
+    for config in oneway.gate_configs():
+        inputs = {site: cli.CNOT_INPUT for site in config.input_sites}
+        out[f"mc_sample.{config.name}"] = (
+            "gate_fidelity_mc, Gaussian 0.5, per sample", MC_SAMPLES,
+            lambda c=config, i=inputs: oneway.gate_fidelity_mc(c, i, gauss, MC_SAMPLES, 42),
+        )
+    out["wire_sample"] = (
+        "wire_fidelity_mc, 10 sites, Gaussian 0.5, per sample", MC_SAMPLES,
+        lambda: oneway.wire_fidelity_mc(10, states.InputQubit.plus(), gauss, MC_SAMPLES, 42),
+    )
+    out["overlap_avg"] = ("flat 1.0, 10 sites", 1, lambda: phasenoise.overlap_avg(flat, 10))
+    out["averaged_pair_state"] = ("10 sites, pair (3, 7), Gaussian 0.5", 1,
+                                  lambda: entanglement.averaged_pair_state(10, gauss, (3, 7)))
+    out["concurrence"] = ("that pair state", 1, lambda: entanglement.concurrence(rho))
+    # the two CLI tables, as arrays and as public result objects
+    pair_grid = getattr(entanglement, "_pair_grid", None)
+    out["_pair_grid"] = ("10 sites, the 10-sigma concurrence-scan grid", 1,
+                         pair_grid and (lambda: pair_grid(10, sigmas)))
+    out["pair_scan_grid"] = ("the same, as PairAnalysis objects", 1,
+                             lambda: entanglement.pair_scan_grid(10, sigmas))
+    overlap_rows = getattr(phasenoise, "_overlap_rows", None)
+    out["_overlap_rows"] = ("the fig-noise table: 64 widths, sizes 3..10", 1,
+                            overlap_rows and (lambda: overlap_rows(lambdas, range(3, 11))))
+    out["overlap_scan"] = ("the same, as OverlapResult objects", 1,
+                           lambda: phasenoise.overlap_scan(lambdas, range(3, 11)))
+    return out
+
+
+def time_call(fn, per_call: int, repeat: int, budget: float) -> dict:
+    start = time.perf_counter()
+    fn()
+    first = time.perf_counter() - start
+    loops = max(1, int(budget / first)) if first > 0 else 1
+    runs = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        for _ in range(loops):
+            fn()
+        runs.append((time.perf_counter() - start) * 1e3 / (loops * per_call))
+    return {"ms": statistics.median(runs), "min_ms": min(runs), "loops": loops, "repeat": repeat}
+
+
+def layer_pass(repeat: int, budget: float) -> dict:
+    out = {}
+    for name, (what, per_call, fn) in pieces().items():
+        out[name] = {"what": what, "ms": None}
+        if fn is not None:
+            out[name].update(time_call(fn, per_call, repeat, budget))
+    return out
+
+
+def children_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def process_pass(repeat: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = os.path.join(tmp, "chain3.graph")
+        with open(graph, "w", encoding="utf-8") as fh:
+            fh.write(GRAPH)
+        # interpreter start-up and the package import alone, then each subcommand
+        commands = {"import": [sys.executable, "-c", "import noisycluster.cli"]}
+        for argv in SUBCOMMANDS:
+            argv = [a.format(graph=graph) for a in argv]
+            argv += ["--no-meta", "--out", os.devnull]
+            commands[argv[0]] = [sys.executable, "-c", CLI_CALL, *argv]
+        for name, cmd in commands.items():
+            walls, cpus = [], []
+            for _ in range(repeat):
+                cpu0, start = children_cpu_s(), time.perf_counter()
+                subprocess.run(cmd, env=env, check=True)
+                walls.append(time.perf_counter() - start)
+                cpus.append(children_cpu_s() - cpu0)
+            out[name] = {"wall_s": statistics.median(walls), "cpu_s": statistics.median(cpus),
+                         "wall_s_runs": walls}
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", help="JSON file to write")
+    parser.add_argument("--repeat", type=int, default=5, help="timed runs per entry (default 5)")
+    parser.add_argument("--budget", type=float, default=0.2,
+                        help="seconds per timed run of a layer (default 0.2)")
+    parser.add_argument("--layers-only", action="store_true", help="skip the process pass")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    record = {
+        "env": environment(),
+        "settings": {"repeat": args.repeat, "budget_s": args.budget, "mc_samples": MC_SAMPLES},
+        "layers": layer_pass(args.repeat, args.budget),
+    }
+    if not args.layers_only:
+        record["processes"] = process_pass(args.repeat)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
