@@ -55,8 +55,8 @@ _SCHEMAS = {
 # rows per joined write: a long table is never held a second time as one string
 _WRITE_BLOCK = 4096
 
-# largest concurrence-scan table, pairs x grid points, refused before anything is
-# allocated: --n 400 on the default 10-point grid (798,000 rows) still runs
+# largest fig-noise or concurrence-scan table, refused before the sweep: --n 400 on
+# the default 10-point grid (798,000 rows) still runs
 _MAX_SCAN_ROWS = 10**6
 
 
@@ -132,10 +132,16 @@ def _run_fig_noise(params: Mapping[str, Any]) -> list[tuple]:
     grid = params.get("grid")
     if grid is None:
         grid = np.linspace(0.0, 2.0 * math.pi, 64)
+    sizes = range(3, 11)
+    if len(sizes) * len(grid) > _MAX_SCAN_ROWS:
+        raise ExperimentError(
+            f"fig-noise on {len(grid)} grid points exceeds {_MAX_SCAN_ROWS} rows "
+            f"({len(sizes)} chain sizes x grid points)"
+        )
     dists = [PhaseDistribution.flat(float(lam)) for lam in grid]
     return [
         (n, dist.param, fidelity_of_mean, mean_fidelity)
-        for n, rows in zip(range(3, 11), _overlap_rows(dists, range(3, 11)))
+        for n, rows in zip(sizes, _overlap_rows(dists, sizes))
         for dist, (_, fidelity_of_mean, mean_fidelity) in zip(dists, rows)
     ]
 

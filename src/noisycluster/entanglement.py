@@ -144,6 +144,15 @@ def _pair_states(
     return states.reshape(chains, -1, 4, 4)
 
 
+def _distinct(states: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The distinct matrices of a ``(P, 4, 4)`` stack, first seen first, and the index of each
+    matrix among them. Matrices are keyed by their bytes: bit-exact, so -0.0 and 0.0 stay
+    apart and a NaN matrix is kept for the Hermitian test to reject."""
+    ids: dict[bytes, int] = {}
+    inverse = [ids.setdefault(s.tobytes(), len(ids)) for s in states]
+    return np.frombuffer(b"".join(ids), states.dtype).reshape(-1, 4, 4), inverse
+
+
 # matrices per batched analysis: small chains share one stack across many
 # distributions, long ones take one distribution at a time
 _GRID_BLOCK = 4096
@@ -152,19 +161,27 @@ _GRID_BLOCK = 4096
 def _pair_grid(n: int, dists: Sequence[PhaseDistribution]) -> tuple[list, list, list]:
     """The pairs of an n-site chain, lexicographic, and flat concurrence and PPT lists over
     (distribution, pair). A block of at most ``_GRID_BLOCK`` pair states is checked and scored
-    with one ``eigh``, which feeds both the positive-semidefinite guard and the concurrence."""
+    with one ``eigh``, which feeds both the positive-semidefinite guard and the concurrence.
+
+    A pair state depends only on the pair's neighbourhood (the chain ends, and separations
+    1, 2 or more), so a uniform chain has few distinct ones: each block analyses each
+    distinct state once, keyed by its bytes, and gives its values to every equal state.
+    """
     _check_pair(n, (1, 2))
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     per_block = max(1, _GRID_BLOCK // len(pairs))
     concurrences, ppt = [], []
     for start in range(0, len(dists), per_block):
         block = [[_doubled_transfer(d)] * (n - 1) for d in dists[start : start + per_block]]
-        states = _pair_states(n, block, pairs).reshape(-1, 4, 4)
-        _check_hermitian_unit_trace(states)  # before LAPACK: NaN must not reach eigh
-        w, v = np.linalg.eigh(states)
+        # the block itself is dropped once its distinct states are picked out
+        distinct, inverse = _distinct(_pair_states(n, block, pairs).reshape(-1, 4, 4))
+        _check_hermitian_unit_trace(distinct)  # before LAPACK: NaN must not reach eigh
+        w, v = np.linalg.eigh(distinct)
         _check_psd(w[:, 0])
-        concurrences += _concurrences(w, v).tolist()
-        ppt += _ppt_min_eigenvalues(states).tolist()
+        # equal states share one float object, not just one value: less memory per row
+        c, p = _concurrences(w, v).tolist(), _ppt_min_eigenvalues(distinct).tolist()
+        concurrences += [c[k] for k in inverse]
+        ppt += [p[k] for k in inverse]
     return pairs, concurrences, ppt
 
 

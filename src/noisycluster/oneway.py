@@ -454,10 +454,15 @@ def gate_fidelity_once(
     return float(_zero_branch_fidelities(config, inputs, row)[0])
 
 
+def _check_sample_count(n_samples: int) -> None:
+    """Run by the Monte Carlo drivers before they draw a row: ``_stats_from_samples``
+    needs two."""
+    if n_samples < 2:
+        raise ValueError("need at least two samples for a standard error")
+
+
 def _stats_from_samples(values: np.ndarray, seed: int) -> SampleStats:
     n = len(values)
-    if n < 2:
-        raise ValueError("need at least two samples for a standard error")
     mean = values.sum() / n
     # the float operations of np.std(values, ddof=1), without its overhead
     stderr = math.sqrt(np.square(values - mean).sum() / (n - 1)) / math.sqrt(n)
@@ -476,6 +481,7 @@ def gate_fidelity_mc(
     Sample k is row k of ``phasenoise._seeded_rows``, one phase per edge in ascending
     order; all rows are scored in one batched contraction of the postselected pattern.
     """
+    _check_sample_count(n_samples)
     width = len(config.graph.edges)
     thetas = np.array(list(_seeded_rows(dist, width, n_samples, master_seed))).reshape(-1, width)
     return _stats_from_samples(_zero_branch_fidelities(config, inputs, thetas), master_seed)
@@ -650,6 +656,7 @@ def wire_fidelity_mc(
     the all-zero branch on row k of ``phasenoise._seeded_rows``, drawn as it is used."""
     if n < 2:
         raise ValueError("wire needs at least 2 sites")
+    _check_sample_count(n_samples)
     zeros, values = (0,) * (n - 1), np.empty(n_samples)
     frame = _wire_correction(n, zeros)  # every sample takes the all-zero branch
     for k, row in enumerate(_seeded_rows(dist, n - 1, n_samples, master_seed)):

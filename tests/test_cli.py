@@ -380,6 +380,34 @@ def test_concurrence_scan_row_limit_is_inclusive(monkeypatch):
     assert 400 * 399 // 2 * 10 <= cli._MAX_SCAN_ROWS
 
 
+def test_fig_noise_refuses_oversized_tables_up_front(capsys, monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "_overlap_rows", no_sweep)
+    # 8 chain sizes per grid point: one point more than 10**6 rows allow
+    code, out, err = run_cli(capsys, "fig-noise", "--grid", "0:1:125001")
+    assert code == 2
+    assert err.startswith("cluster-bench: fig-noise on 125001 grid points") and "rows" in err
+    assert out == "" and "Traceback" not in err
+
+
+def test_fig_noise_row_limit_is_inclusive(capsys, monkeypatch):
+    seen = []
+
+    def empty_sweep(dists, sizes):
+        seen.append((len(dists), len(sizes)))
+        return []
+
+    monkeypatch.setattr(cli, "_overlap_rows", empty_sweep)
+    code, out, err = run_cli(capsys, "fig-noise", "--grid", "0:1:125000", "--no-meta")
+    assert (code, err) == (0, "") and out.endswith("N,lambda,fidelity_of_mean,mean_fidelity\n")
+    assert seen == [(125000, 8)] and 8 * 125000 == cli._MAX_SCAN_ROWS
+    with pytest.raises(ExperimentError, match="rows"):
+        cli._run_fig_noise({"grid": np.zeros(125001)})
+    assert len(seen) == 1
+
+
 def test_fig_cnot_schema(capsys):
     code, out, _ = run_cli(
         capsys, "fig-cnot", "--samples", "2", "--grid", "0.5:1:2", "--no-meta"

@@ -16,6 +16,7 @@ from noisycluster.entanglement import (
     _GRID_BLOCK,
     PairAnalysis,
     _doubled_transfer,
+    _pair_grid,
     _pair_states,
     averaged_pair_state,
     concurrence,
@@ -25,7 +26,14 @@ from noisycluster.entanglement import (
     sampled_mean_concurrence,
 )
 from noisycluster.phasenoise import PhaseDistribution, pair_transfer
-from noisycluster.states import DensityMatrix, PureState, partial_trace, pure_to_density
+from noisycluster.states import (
+    DensityMatrix,
+    PureState,
+    _check_hermitian_unit_trace,
+    _check_psd,
+    partial_trace,
+    pure_to_density,
+)
 
 SEED = 777
 
@@ -314,13 +322,14 @@ def _with_one_state_replaced(monkeypatch, replacement):
     monkeypatch.setattr(entanglement, "_pair_states", patched)
 
 
-def _counting_linalg(monkeypatch):
+def _counting_linalg(monkeypatch, weight=lambda stack: 1):
+    """Sum ``weight`` of each stack passed to the three eigensolvers, per solver."""
     calls = {}
     for name in ("eigh", "eigvalsh", "svd"):
 
-        def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _f(*args, **kwargs)
+        def counted(a, *args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + weight(a)
+            return _f(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
@@ -353,6 +362,91 @@ def test_pair_scan_grid_diagonalizes_each_block_once(monkeypatch, n, n_dists, bl
     calls = _counting_linalg(monkeypatch)
     pair_scan_grid(n, [PhaseDistribution.gaussian(s) for s in CLI_GRID[:n_dists]])
     assert calls == {"eigh": blocks, "svd": blocks, "eigvalsh": blocks}
+
+
+# --- one analysis per distinct pair state ---
+
+
+def pair_grid_per_state(n, dists):
+    """Oracle: ``_pair_grid`` analysing every pair state of a block, equal or not."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    per_block = max(1, _GRID_BLOCK // len(pairs))
+    concurrences, ppt = [], []
+    for start in range(0, len(dists), per_block):
+        block = [[_doubled_transfer(d)] * (n - 1) for d in dists[start : start + per_block]]
+        states = _pair_states(n, block, pairs).reshape(-1, 4, 4)
+        _check_hermitian_unit_trace(states)
+        w, v = np.linalg.eigh(states)
+        _check_psd(w[:, 0])
+        concurrences += entanglement._concurrences(w, v).tolist()
+        ppt += entanglement._ppt_min_eigenvalues(states).tolist()
+    return pairs, concurrences, ppt
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10, 64])
+def test_pair_grid_equals_the_per_state_analysis(n):
+    dists = [PhaseDistribution.gaussian(float(sigma)) for sigma in CLI_GRID]
+    assert _pair_grid(n, dists) == pair_grid_per_state(n, dists)
+
+
+def test_pair_grid_equals_the_per_state_analysis_across_a_block_boundary():
+    dists = [PhaseDistribution.gaussian(s) for s in (0.1, 0.4, 0.7)]
+    dists += [PhaseDistribution.flat(2.5), PhaseDistribution.fixed(0.3)]
+    # fixed phases far from 0 entangle many pairs, so a misplaced concurrence shows
+    dists += [PhaseDistribution.fixed(2.0), PhaseDistribution.fixed(math.pi)]
+    expect = pair_grid_per_state(64, dists)  # four blocks
+    assert len(set(expect[1])) > 10  # distinct concurrences
+    assert _pair_grid(64, dists) == expect
+
+
+@pytest.mark.parametrize("n, distinct", [(5, 90), (10, 100)])
+def test_pair_grid_analyses_each_distinct_state_once(monkeypatch, n, distinct):
+    # a uniform chain's pair state depends only on the pair's neighbourhood
+    matrices = _counting_linalg(monkeypatch, len)
+    pairs, _, _ = _pair_grid(n, [PhaseDistribution.gaussian(float(s)) for s in CLI_GRID])
+    assert len(pairs) * len(CLI_GRID) > distinct
+    assert matrices == {"eigh": distinct, "svd": distinct, "eigvalsh": distinct}
+
+
+def _checked_stacks(monkeypatch, stack):
+    """Make ``stack`` the pair states of a 2-site chain, one state per distribution,
+    and record every stack that reaches the Hermitian test."""
+    seen = []
+
+    def recording(states):
+        seen.append(states.copy())
+        _check_hermitian_unit_trace(states)
+
+    monkeypatch.setattr(entanglement, "_pair_states", lambda n, t, pairs: stack[:, None].copy())
+    monkeypatch.setattr(entanglement, "_check_hermitian_unit_trace", recording)
+    return seen
+
+
+def _bits(states):
+    return [s.tobytes() for s in states]
+
+
+def test_pair_grid_keeps_a_signed_zero_apart(monkeypatch):
+    rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    signed = rho.copy()
+    signed[0, 1] = complex(-0.0, 0.0)
+    assert np.array_equal(rho, signed) and _bits([rho]) != _bits([signed])
+    seen = _checked_stacks(monkeypatch, np.array([rho, signed, rho, signed]))
+    pairs, concurrences, ppt = _pair_grid(2, [PhaseDistribution.gaussian(0.5)] * 4)
+    assert [_bits(s) for s in seen] == [_bits([rho, signed])]
+    assert pairs == [(1, 2)] and concurrences == [0.0] * 4 and ppt == [ppt[0]] * 4
+
+
+def test_pair_grid_keeps_nan_payloads_apart(monkeypatch):
+    quiet = np.full((4, 4), np.nan, dtype=complex)
+    payload = quiet.copy()
+    payload.real[0, 0] = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+    assert _bits([quiet]) != _bits([payload])
+    seen = _checked_stacks(monkeypatch, np.array([quiet, payload, payload]))
+    calls = _counting_linalg(monkeypatch)
+    with pytest.raises(ValueError, match="not hermitian"):
+        _pair_grid(2, [PhaseDistribution.gaussian(0.5)] * 3)
+    assert [_bits(s) for s in seen] == [_bits([quiet, payload])] and calls == {}
 
 
 # --- sampled concurrence ---

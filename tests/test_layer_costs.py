@@ -31,6 +31,7 @@ def test_layer_pass_writes_every_piece(tmp_path, monkeypatch):
         "averaged_pair_state",
         "concurrence",
         "_pair_grid",
+        "_pair_grid.n64",
         "pair_scan_grid",
         "_overlap_rows",
         "overlap_scan",

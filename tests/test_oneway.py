@@ -999,3 +999,26 @@ def test_gate_fidelity_mc_needs_two_samples():
     inputs = {1: InputQubit.plus(), 3: InputQubit.plus()}
     with pytest.raises(ValueError):
         gate_fidelity_mc(cfg, inputs, PhaseDistribution.gaussian(0.5), 1, SEED)
+
+
+@pytest.mark.parametrize("n_samples", [1, 0, -3])
+@pytest.mark.parametrize(
+    "driver",
+    [
+        lambda n_samples: gate_fidelity_mc(
+            config_cnot4(), {1: InputQubit.plus(), 3: InputQubit.plus()},
+            PhaseDistribution.gaussian(0.5), n_samples, SEED,
+        ),
+        lambda n_samples: wire_fidelity_mc(
+            3, InputQubit.plus(), PhaseDistribution.gaussian(0.5), n_samples, SEED
+        ),
+    ],
+    ids=["gate_fidelity_mc", "wire_fidelity_mc"],
+)
+def test_monte_carlo_drivers_reject_sample_counts_before_drawing(monkeypatch, driver, n_samples):
+    def no_rows(*args):
+        raise AssertionError("a row was drawn")
+
+    monkeypatch.setattr(oneway, "_seeded_rows", no_rows)
+    with pytest.raises(ValueError, match="need at least two samples for a standard error"):
+        driver(n_samples)

@@ -107,6 +107,8 @@ def pieces() -> dict:
                          pair_grid and (lambda: pair_grid(10, sigmas)))
     out["pair_scan_grid"] = ("the same, as PairAnalysis objects", 1,
                              lambda: entanglement.pair_scan_grid(10, sigmas))
+    out["_pair_grid.n64"] = ("64 sites, the 10-sigma grid: 20,160 pair states in 5 blocks", 1,
+                             pair_grid and (lambda: pair_grid(64, sigmas)))
     overlap_rows = getattr(phasenoise, "_overlap_rows", None)
     out["_overlap_rows"] = ("the fig-noise table: 64 widths, sizes 3..10", 1,
                             overlap_rows and (lambda: overlap_rows(lambdas, range(3, 11))))
