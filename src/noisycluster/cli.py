@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -91,11 +92,14 @@ class ResultTable:
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError("row width does not match columns")
+        if set(map(len, self.rows)) - {len(self.columns)}:
+            raise ValueError("row width does not match columns")
 
     def write(self, out: TextIO, with_timestamp: bool = True) -> None:
+        """Metadata, header, then rows in blocks of ``_WRITE_BLOCK``. A block whose
+        every column has one cell format is one printf template, repeated once per
+        row and filled from the block's cells in one ``%``; a block with a column
+        of mixed formats (ints and floats, say) falls back to one template per row."""
         lines = [f"# {key}: {value}\n" for key, value in self.metadata.items()]
         if with_timestamp:
             stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -104,16 +108,22 @@ class ResultTable:
         out.write("".join(lines))
         for start in range(0, len(self.rows), _WRITE_BLOCK):
             block = self.rows[start : start + _WRITE_BLOCK]
-            out.write("".join([_row_template(tuple(map(type, row))).format(*row) for row in block]))
+            formats = [{_cell_template(cls) for cls in set(map(type, col))} for col in zip(*block)]
+            if all(len(cell) == 1 for cell in formats):
+                template = ",".join(cell.pop() for cell in formats) + "\n"
+                text = (template * len(block)) % tuple(itertools.chain.from_iterable(block))
+            else:
+                text = "".join([_row_template(tuple(map(type, row))) % tuple(row) for row in block])
+            out.write(text)
 
 
 @functools.lru_cache(maxsize=None)
 def _cell_template(cls: type) -> str:
     if issubclass(cls, (float, np.floating)):  # most cells; bool is not a float
-        return "{:.12g}"
+        return "%.12g"
     if issubclass(cls, (int, np.integer)):  # bool formats as 1 / 0
-        return "{:d}"
-    return "{!s}"  # np.bool_ too: it is neither an int nor a bool
+        return "%d"
+    return "%s"  # np.bool_ too: it is neither an int nor a bool
 
 
 @functools.lru_cache(maxsize=None)
@@ -122,7 +132,7 @@ def _row_template(types: tuple[type, ...]) -> str:
 
 
 def _format_cell(value) -> str:
-    return _cell_template(type(value)).format(value)
+    return _cell_template(type(value)) % (value,)
 
 
 # --- experiment implementations ---------------------------------------------
@@ -258,9 +268,14 @@ class SystemExit_(SystemExit):
 def _parse_grid(text: str) -> np.ndarray:
     try:
         start, stop, steps = text.split(":")
-        start, stop = float(start), float(stop)
+        start, stop, steps = float(start), float(stop), int(steps)
+        if steps > _MAX_SCAN_ROWS:
+            # every table has at least one row per grid point: refuse before allocating
+            raise argparse.ArgumentTypeError(
+                f"grid of {steps} steps exceeds the {_MAX_SCAN_ROWS}-row table limit"
+            )
         if math.isfinite(start) and math.isfinite(stop):
-            return np.linspace(start, stop, int(steps))
+            return np.linspace(start, stop, steps)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"grid must be start:stop:steps, got {text!r}"

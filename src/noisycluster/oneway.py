@@ -594,19 +594,22 @@ def _wire_kernel(
     in 1/2 [v0 + (-1)^s v1, v0 - (-1)^s e^{i theta} v1]; then ``frame``, or else the
     frozen frame of the realized outcomes. Returns amplitudes and |<input|output>|^2."""
     v0, v1 = complex(qubit.amp0), complex(qubit.amp1)
+    cos, sin, sqrt = math.cos, math.sin, math.sqrt
     realized = []
-    for k, theta in enumerate(thetas):
-        phase_v1 = complex(math.cos(theta), math.sin(theta)) * v1
+    for theta, out in zip(thetas, itertools.repeat(None) if forced is None else forced):
+        phase_v1 = complex(cos(theta), sin(theta)) * v1
         w0, w1 = 0.5 * (v0 + v1), 0.5 * (v0 - phase_v1)
         p0 = (abs(w0) ** 2 + abs(w1) ** 2) / (abs(v0) ** 2 + abs(v1) ** 2)
-        p0 = min(max(p0, 0.0), 1.0)
-        out = (0 if rng.random() < p0 else 1) if forced is None else forced[k]
+        p0 = 0.0 if p0 < 0.0 else 1.0 if p0 > 1.0 else p0  # NaN stays NaN
+        if out is None:
+            out = 0 if rng.random() < p0 else 1
         prob = p0 if out == 0 else 1.0 - p0
         if prob < FORCE_PROB_ATOL:
             raise ValueError(f"outcome {out} has probability {prob:.3e}, cannot realize")
         if out:
             w0, w1 = 0.5 * (v0 - v1), 0.5 * (v0 + phase_v1)
-        v0, v1 = w0 / math.sqrt(prob), w1 / math.sqrt(prob)
+        norm = sqrt(prob)
+        v0, v1 = w0 / norm, w1 / norm
         realized.append(out)
     frame = frame or _wire_correction(len(thetas) + 1, tuple(realized))
     (g00, g01), (g10, g11) = frame.matrices[0].tolist()

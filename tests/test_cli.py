@@ -245,6 +245,73 @@ def test_row_templates_equal_the_per_cell_chain_on_every_subcommand(tmp_path):
 def test_result_table_row_width_checked():
     with pytest.raises(ValueError):
         ResultTable(columns=("a", "b"), rows=[(1,)])
+    # one bad row, too short or too long, at the end of a long table
+    rows = [(k, k / 2) for k in range(10**4)]
+    for bad in ((9999,), (9999, 1.0, 2.0)):
+        rows[9999] = bad
+        with pytest.raises(ValueError, match="^row width does not match columns$"):
+            ResultTable(columns=("a", "b"), rows=rows)
+
+
+def count_row_templates(monkeypatch):
+    """Patch the per-row fallback so a test sees how many rows took it."""
+    calls, row_template = [], cli._row_template
+
+    def counted(types):
+        calls.append(types)
+        return row_template(types)
+
+    monkeypatch.setattr(cli, "_row_template", counted)
+    return calls
+
+
+def test_a_mixed_column_sends_only_its_own_block_row_by_row(monkeypatch):
+    calls = count_row_templates(monkeypatch)
+    block = cli._WRITE_BLOCK
+    rows = [(k, k / 3, "x") for k in range(block)]
+    # the second block's middle column holds one int among its floats
+    rows += [(k, 7 if k == block + 11 else k / 3, "y") for k in range(block, block + 20)]
+    table = ResultTable(columns=("a", "b", "c"), rows=rows)
+    assert written(table) == "a,b,c\n" + legacy_rows(table)
+    assert len(calls) == 20
+    assert written(table).splitlines()[block + 12] == f"{block + 11},7,y"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(1, 0.5, "a"), (2, 1.5, "b")],  # uniform: one template for the block
+        [(1, 0.5, "a"), (2, 3, "b")],  # mixed: a template per row
+        [(1,), (2,)],  # one column: "%s\n" % [1] would print the list
+        [("x",), ("y",)],
+    ],
+)
+def test_list_rows_and_tuple_rows_give_the_same_bytes(rows):
+    columns = tuple("abc"[: len(rows[0])])
+    as_tuples = written(ResultTable(columns=columns, rows=rows))
+    assert as_tuples == ",".join(columns) + "\n" + legacy_rows(ResultTable(columns, rows))
+    assert written(ResultTable(columns=columns, rows=[list(r) for r in rows])) == as_tuples
+
+
+def test_special_floats_and_wide_ints_in_uniform_columns(monkeypatch):
+    calls = count_row_templates(monkeypatch)
+    floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, np.float16(-1e-5), np.float32(0.1),
+              np.float64(1 / 3), 1e300, 5e-324]
+    ints = [2**70, -(2**70), 0, True, False, np.int64(-7), np.uint64(2**64 - 1), np.int8(-128),
+            np.uint8(255), 1]
+    rows = list(zip(floats, ints, map(str, range(10))))
+    table = ResultTable(columns=("f", "i", "s"), rows=rows)
+    assert written(table) == "f,i,s\n" + legacy_rows(table)
+    assert calls == []
+    assert legacy_rows(table).splitlines()[:7] == [
+        "nan,1180591620717411303424,0",
+        "inf,-1180591620717411303424,1",
+        "-inf,0,2",
+        "-0,1,3",
+        "0,0,4",
+        "-1.00135803223e-05,-7,5",
+        "0.10000000149,18446744073709551615,6",
+    ]
 
 
 # --- experiment content ------------------------------------------------------
@@ -406,6 +473,26 @@ def test_fig_noise_row_limit_is_inclusive(capsys, monkeypatch):
     with pytest.raises(ExperimentError, match="rows"):
         cli._run_fig_noise({"grid": np.zeros(125001)})
     assert len(seen) == 1
+
+
+@pytest.mark.parametrize("command", ["fig-noise", "fig-cnot", "concurrence-scan"])
+def test_grid_step_count_is_refused_before_the_grid_is_built(capsys, monkeypatch, command):
+    def no_linspace(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(np, "linspace", no_linspace)
+    for steps in ("1000000000", str(cli._MAX_SCAN_ROWS + 1)):
+        code, out, err = run_cli(capsys, command, "--grid", f"0:1:{steps}")
+        assert code == 1, steps
+        assert f"grid of {steps} steps exceeds the {cli._MAX_SCAN_ROWS}-row table limit" in err
+        assert out == "" and "Traceback" not in err
+
+
+def test_grid_step_limit_is_inclusive(monkeypatch):
+    seen = []
+    monkeypatch.setattr(np, "linspace", lambda start, stop, steps: seen.append(steps) or "grid")
+    assert cli._parse_grid(f"0:1:{cli._MAX_SCAN_ROWS}") == "grid"
+    assert seen == [cli._MAX_SCAN_ROWS]
 
 
 def test_fig_cnot_schema(capsys):

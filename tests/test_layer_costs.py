@@ -35,6 +35,8 @@ def test_layer_pass_writes_every_piece(tmp_path, monkeypatch):
         "pair_scan_grid",
         "_overlap_rows",
         "overlap_scan",
+        "write.fig_noise",
+        "write.concurrence_scan_n10",
     }
     for name, entry in record["layers"].items():
         assert entry["ms"] > 0 and entry["loops"] == 1 and entry["repeat"] == 1, name

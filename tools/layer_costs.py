@@ -24,6 +24,7 @@ for _var in THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 import argparse
+import io
 import json
 import math
 import platform
@@ -114,6 +115,12 @@ def pieces() -> dict:
                             overlap_rows and (lambda: overlap_rows(lambdas, range(3, 11))))
     out["overlap_scan"] = ("the same, as OverlapResult objects", 1,
                            lambda: phasenoise.overlap_scan(lambdas, range(3, 11)))
+    # the CSV writer on two CLI tables, written into memory
+    for name, kind, params in (("write.fig_noise", "fig-noise", {}),
+                               ("write.concurrence_scan_n10", "concurrence-scan", {"n": 10})):
+        table = cli.run_experiment(cli.ExperimentSpec(kind, params))
+        out[name] = (f"ResultTable.write of the {kind} table ({len(table.rows)} rows)", 1,
+                     lambda t=table: t.write(io.StringIO(), with_timestamp=False))
     return out
 
 
