@@ -56,9 +56,12 @@ _SCHEMAS = {
 # rows per joined write: a long table is never held a second time as one string
 _WRITE_BLOCK = 4096
 
-# largest fig-noise or concurrence-scan table, refused before the sweep: --n 400 on
-# the default 10-point grid (798,000 rows) still runs
+# largest fig-noise, fig-dephasing or concurrence-scan table, refused before the
+# sweep: --n 400 on the default 10-point grid (798,000 rows) still runs
 _MAX_SCAN_ROWS = 10**6
+
+# most Monte Carlo samples per call of fig-cnot or wire-scan, refused before any draw
+_MAX_SAMPLES = 10**6
 
 
 class ExperimentError(RuntimeError):
@@ -83,6 +86,8 @@ class ExperimentSpec:
         samples = self.params.get("samples")
         if samples is not None and samples < 2:
             raise ExperimentError("Monte Carlo needs at least 2 samples")
+        if samples is not None and samples > _MAX_SAMPLES:
+            raise ExperimentError(f"Monte Carlo takes at most {_MAX_SAMPLES} samples")
 
 
 @dataclass
@@ -161,8 +166,14 @@ def _run_fig_dephasing(params: Mapping[str, Any]) -> list[tuple]:
     nmax = int(params.get("nmax", 25))
     if nmax < 3:
         raise ExperimentError("nmax must be >= 3")
+    families = ("w", "ghz", "linear_cluster", "square_cluster")
+    if len(families) * (nmax - 2) > _MAX_SCAN_ROWS:
+        raise ExperimentError(
+            f"fig-dephasing to nmax {nmax} exceeds {_MAX_SCAN_ROWS} rows "
+            f"({len(families)} families x N)"
+        )
     rows = []
-    for family in ("w", "ghz", "linear_cluster", "square_cluster"):
+    for family in families:
         for n in range(3, nmax + 1):
             rows.append((family, n, gamma, dephasing_fidelity(family, n, gamma)))
     return rows
@@ -307,7 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if samples:
             p.add_argument(
-                "--samples", type=int, default=2000, help="Monte Carlo samples (default 2000)"
+                "--samples",
+                type=int,
+                default=2000,
+                help=f"Monte Carlo samples, 2 to {_MAX_SAMPLES} (default 2000)",
             )
 
     p = sub.add_parser("fig-noise", help="flat-noise chain overlap curves")
@@ -373,6 +387,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             table.write(sys.stdout, with_timestamp=not args.no_meta)
     except (ExperimentError, OSError, ValueError, ArithmeticError) as exc:
         print(f"cluster-bench: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's names the allocation; a bare one says nothing
+        print(f"cluster-bench: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     return 0
 

@@ -4,9 +4,13 @@ Averaging a chain's density matrix over independent edge deviations turns
 each edge factor into a characteristic value, so the reduced state of a site
 pair is a contraction of 4x4 transfer matrices over bit pairs (z, z'), z = z'
 on the traced sites. Its environments are built once per chain, so all pairs
-take O(n) numpy calls, at any chain length. Entanglement is quantified by the
-Wootters concurrence and cross-checked by the partial transpose criterion
-(equivalent for two qubits), both evaluated on stacks of states.
+take O(n) numpy calls, at any chain length. On a uniform chain a pair state
+depends only on the pair's class (first site an end, second site an end,
+separation 1, 2 or more), and all ten classes occur on six sites, so the
+averaged states are read off a chain of at most six sites, whatever n is.
+Entanglement is quantified by the Wootters concurrence and cross-checked by
+the partial transpose criterion (equivalent for two qubits), both evaluated
+on stacks of states.
 """
 
 from __future__ import annotations
@@ -97,9 +101,32 @@ def averaged_pair_state(
     Entry ((a, b), (a', b')) is 2^-n times the sum over the traced bit
     assignments of prod_j (-1)^{z_j z_{j+1} + z'_j z'_{j+1}}
     char(z_j z_{j+1} - z'_j z'_{j+1}), with z = z' on the traced sites.
+    It is read off the pair's class representative, so it costs O(1) in n.
     """
     _check_pair(n, pair)
-    return DensityMatrix(2, _pair_states(n, [[_doubled_transfer(dist)] * (n - 1)], [pair])[0, 0])
+    m, reps, (k,) = _pair_classes(n, [pair])
+    transfers = [[_doubled_transfer(dist)] * (m - 1)]
+    return DensityMatrix(2, _pair_states(m, transfers, [reps[k]])[0, 0])
+
+
+def _pair_classes(
+    n: int, pairs: Sequence[tuple[int, int]]
+) -> tuple[int, list[tuple[int, int]], list[int]]:
+    """Class representatives of the ``pairs`` of an n-site uniform chain.
+
+    Pair (i, j) is in class (i == 1, j == n, min(j - i, 3)). Returns m = min(n, 6),
+    one representative pair on the m-site chain per class that occurs there (all ten
+    classes for n >= 6), and the index of each pair's representative. On a uniform
+    chain every traced site passes on z = z' entries of exactly 1/2 from the left and
+    exactly 1 from the right, and the middle product times D is the same from
+    separation 2 on, so a pair state equals its representative's bit for bit.
+    """
+    m = min(n, 6)
+    reps: dict[tuple[bool, bool, int], tuple[int, int]] = {}
+    for i, j in itertools.combinations(range(1, m + 1), 2):
+        reps.setdefault((i == 1, j == m, min(j - i, 3)), (i, j))
+    ids = {key: k for k, key in enumerate(reps)}
+    return m, list(reps.values()), [ids[i == 1, j == n, min(j - i, 3)] for i, j in pairs]
 
 
 def _doubled_transfer(dist: PhaseDistribution) -> np.ndarray:
@@ -153,35 +180,40 @@ def _distinct(states: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return np.frombuffer(b"".join(ids), states.dtype).reshape(-1, 4, 4), inverse
 
 
-# matrices per batched analysis: small chains share one stack across many
-# distributions, long ones take one distribution at a time
+# matrices per batched analysis: a chain has at most ten class states, so a block
+# holds 409 distributions
 _GRID_BLOCK = 4096
 
 
 def _pair_grid(n: int, dists: Sequence[PhaseDistribution]) -> tuple[list, list, list]:
     """The pairs of an n-site chain, lexicographic, and flat concurrence and PPT lists over
-    (distribution, pair). A block of at most ``_GRID_BLOCK`` pair states is checked and scored
-    with one ``eigh``, which feeds both the positive-semidefinite guard and the concurrence.
+    (distribution, pair).
 
-    A pair state depends only on the pair's neighbourhood (the chain ends, and separations
-    1, 2 or more), so a uniform chain has few distinct ones: each block analyses each
-    distinct state once, keyed by its bytes, and gives its values to every equal state.
+    Only the class representatives of ``_pair_classes`` are contracted, on a chain of at
+    most six sites, and every pair takes its representative's values, so the cost of the
+    physics does not grow with n. A block of whole distributions, at most ``_GRID_BLOCK``
+    representative states, is checked and scored with one ``eigh``, which feeds both the
+    positive-semidefinite guard and the concurrence; each distinct state of a block, keyed
+    by its bytes, is analysed once and gives its values to every equal state.
     """
     _check_pair(n, (1, 2))
     pairs = list(itertools.combinations(range(1, n + 1), 2))
-    per_block = max(1, _GRID_BLOCK // len(pairs))
+    m, reps, index = _pair_classes(n, pairs)
+    per_block = max(1, _GRID_BLOCK // len(reps))
     concurrences, ppt = [], []
     for start in range(0, len(dists), per_block):
-        block = [[_doubled_transfer(d)] * (n - 1) for d in dists[start : start + per_block]]
-        # the block itself is dropped once its distinct states are picked out
-        distinct, inverse = _distinct(_pair_states(n, block, pairs).reshape(-1, 4, 4))
+        block = [[_doubled_transfer(d)] * (m - 1) for d in dists[start : start + per_block]]
+        distinct, inverse = _distinct(_pair_states(m, block, reps).reshape(-1, 4, 4))
         _check_hermitian_unit_trace(distinct)  # before LAPACK: NaN must not reach eigh
         w, v = np.linalg.eigh(distinct)
         _check_psd(w[:, 0])
-        # equal states share one float object, not just one value: less memory per row
         c, p = _concurrences(w, v).tolist(), _ppt_min_eigenvalues(distinct).tolist()
-        concurrences += [c[k] for k in inverse]
-        ppt += [p[k] for k in inverse]
+        # one distribution at a time, in pair order; equal states share one float
+        # object, not just one value: less memory per row
+        for row in range(0, len(inverse), len(reps)):
+            ids = inverse[row : row + len(reps)]
+            concurrences += map([c[k] for k in ids].__getitem__, index)
+            ppt += map([p[k] for k in ids].__getitem__, index)
     return pairs, concurrences, ppt
 
 

@@ -418,11 +418,13 @@ def _zero_branch_fidelities(
     """Fidelity of the decoded all-zero branch for each row of edge phases.
 
     ``thetas`` has one row per sample and one column per edge of
-    ``config.graph.edges``. A branch of probability below
-    ``FORCE_PROB_ATOL`` cannot be realized and raises ``ValueError``.
+    ``config.graph.edges``. A non-finite phase, or a branch of probability
+    below ``FORCE_PROB_ATOL`` (or NaN), cannot be realized and raises ``ValueError``.
     """
     if set(inputs) != set(config.input_sites):
         raise ValueError(f"inputs must cover sites {config.input_sites}")
+    if not np.isfinite(thetas).all():  # an infinite draw would turn to NaN in np.exp
+        raise ValueError("edge phases must be finite")
     bras, decode, labels, path = config._zero_branch
     vectors = [
         (inputs[s].as_array() if s in inputs else _PLUS) * bras.get(s, 1.0)
@@ -434,7 +436,7 @@ def _zero_branch_fidelities(
     out = np.einsum(*itertools.chain(*operands), labels[-1], optimize=path)
     out = out.reshape(len(thetas), -1)
     probability = np.einsum("bi,bi->b", out.conj(), out).real
-    if np.any(probability < FORCE_PROB_ATOL):
+    if not (probability >= FORCE_PROB_ATOL).all():  # NaN fails too
         raise ValueError(f"all-zero branch has probability {probability.min():.3e}")
     target = decode.conj().T @ config.ideal_gate @ _logical_input_state(config, inputs)
     return np.abs(out @ target.conj()) ** 2 / probability

@@ -65,7 +65,9 @@ class PhaseDistribution:
             x = 0.5 * k * self.param
             return complex(1.0 if x == 0.0 else math.sin(x) / x)
         if self.kind == "gaussian":
-            return complex(math.exp(-0.5 * (k * self.param) ** 2))
+            x = k * self.param
+            # exp(-x**2 / 2) is exactly 0.0 from |x| ~ 38.6 on; past 40, x**2 may overflow
+            return 0j if abs(x) > 40.0 else complex(math.exp(-0.5 * x**2))
         return complex(np.exp(1j * k * self.param))
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> float | np.ndarray:

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from noisycluster import cli, phasenoise
+from noisycluster import cli, oneway, phasenoise
 from noisycluster.cli import (
     CNOT_INPUT,
     ExperimentError,
@@ -70,6 +70,8 @@ def test_exit_two_for_runtime_errors(tmp_path, capsys):
         ("fig-dephasing", "--gamma", "nan"),
         ("wire-scan", "--sigma", "nan", "--sizes", "3"),
         ("fig-cnot", "--samples", "1"),
+        # draws overflow to inf; they used to print nan rows with a RuntimeWarning
+        ("fig-cnot", "--samples", "3", "--grid", "0:1e308:2"),
         ("fig-dephasing", "--nmax", "2"),
         ("fig-noise", "--grid", "1:0:3"),
         ("concurrence-scan", "--n", "0"),
@@ -406,7 +408,7 @@ def test_fig_noise_rows_equal_overlap_scan_fields(grid):
     "n, grid", [(2, None), (5, None), (10, None), (64, np.linspace(0.1, 3.0, 7))]
 )
 def test_concurrence_scan_rows_equal_pair_scan_grid_fields(n, grid):
-    # n = 64 has 2016 pairs, so its 7 sigmas take four 4096-state blocks
+    # n = 64 has 2016 pairs, each taking the values of one of ten class states per sigma
     sigmas = [float(s) for s in (np.linspace(0.1, 1.0, 10) if grid is None else grid)]
     scans = pair_scan_grid(n, [PhaseDistribution.gaussian(s) for s in sigmas])
     expect = [
@@ -493,6 +495,85 @@ def test_grid_step_limit_is_inclusive(monkeypatch):
     monkeypatch.setattr(np, "linspace", lambda start, stop, steps: seen.append(steps) or "grid")
     assert cli._parse_grid(f"0:1:{cli._MAX_SCAN_ROWS}") == "grid"
     assert seen == [cli._MAX_SCAN_ROWS]
+
+
+def test_fig_dephasing_refuses_oversized_tables_up_front(capsys, monkeypatch):
+    def no_fidelity(*args):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(cli, "dephasing_fidelity", no_fidelity)
+    # 4 families per N: nmax 250002 gives exactly 10**6 rows
+    for nmax in ("250003", "100000000"):
+        code, out, err = run_cli(capsys, "fig-dephasing", "--nmax", nmax)
+        assert code == 2, nmax
+        assert err == (
+            f"cluster-bench: fig-dephasing to nmax {nmax} exceeds {cli._MAX_SCAN_ROWS} rows"
+            " (4 families x N)\n"
+        )
+        assert out == ""
+
+
+def test_fig_dephasing_row_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(cli, "_MAX_SCAN_ROWS", 12)
+    assert len(cli._run_fig_dephasing({"nmax": 5})) == 12
+    with pytest.raises(ExperimentError, match="exceeds 12 rows"):
+        cli._run_fig_dephasing({"nmax": 6})
+
+
+@pytest.mark.parametrize("command", ["wire-scan", "fig-cnot"])
+@pytest.mark.parametrize("samples", ["1000001", "100000000000000"])
+def test_monte_carlo_refuses_too_many_samples_before_any_draw(
+    capsys, monkeypatch, command, samples
+):
+    def no_draw(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(cli, "wire_fidelity_mc", no_draw)
+    monkeypatch.setattr(cli, "gate_fidelity_mc", no_draw)
+    code, out, err = run_cli(capsys, command, "--samples", samples)
+    assert (code, out) == (2, "")
+    assert err == f"cluster-bench: Monte Carlo takes at most {cli._MAX_SAMPLES} samples\n"
+
+
+def test_monte_carlo_sample_limit_is_inclusive(capsys, monkeypatch):
+    seen = []
+
+    def stats(n, qubit, dist, samples, seed):
+        seen.append(samples)
+        return oneway.SampleStats(1.0, 0.0, samples, seed)
+
+    monkeypatch.setattr(cli, "wire_fidelity_mc", stats)
+    code, out, err = run_cli(
+        capsys, "wire-scan", "--samples", str(cli._MAX_SAMPLES), "--sizes", "3"
+    )
+    assert (code, err) == (0, "") and seen == [10**6] == [cli._MAX_SAMPLES]
+
+
+NUMPY_MEMORY_MESSAGE = "Unable to allocate 745. TiB for an array"
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [(MemoryError(NUMPY_MEMORY_MESSAGE), NUMPY_MEMORY_MESSAGE), (MemoryError(), "out of memory")],
+)
+def test_exit_two_for_memory_errors(capsys, monkeypatch, error, message):
+    def allocate(params):
+        raise error
+
+    monkeypatch.setitem(cli._RUNNERS, "wire-scan", allocate)
+    code, out, err = run_cli(capsys, "wire-scan")
+    assert (code, out, err) == (2, "", f"cluster-bench: {message}\n")
+
+
+def test_concurrence_scan_at_an_overflowing_sigma(capsys):
+    # (k * sigma) ** 2 overflows a float here; the characteristic values are exactly 0
+    code, out, err = run_cli(capsys, "concurrence-scan", "--n", "3", "--grid", "0:1e300:3")
+    assert (code, err) == (0, "")
+    rows = data_rows(out, "N,sigma,i,j,concurrence,ppt_min_eig")
+    _, concurrences, ppt = cli._pair_grid(3, [PhaseDistribution.gaussian(100.0)])
+    for sigma in ("5e+299", "1e+300"):
+        got = [r[4:] for r in rows if r[1] == sigma]
+        assert got == [[f"{c:.12g}", f"{p:.12g}"] for c, p in zip(concurrences, ppt)]
 
 
 def test_fig_cnot_schema(capsys):

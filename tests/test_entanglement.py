@@ -16,6 +16,7 @@ from noisycluster.entanglement import (
     _GRID_BLOCK,
     PairAnalysis,
     _doubled_transfer,
+    _pair_classes,
     _pair_grid,
     _pair_states,
     averaged_pair_state,
@@ -277,30 +278,55 @@ def test_pair_scan_grid_equals_per_sigma_pair_scan(n):
     assert pair_scan_grid(n, dists) == [pair_scan(n, d) for d in dists]
 
 
-def test_pair_scan_grid_across_a_block_boundary():
-    n = 64  # 2016 pairs, so a block holds two distributions and five take three blocks
+def test_pair_scan_grid_across_a_block_boundary(monkeypatch):
+    n = 64
     dists = [PhaseDistribution.gaussian(s) for s in (0.1, 0.4, 0.7)]
     dists += [PhaseDistribution.flat(2.5), PhaseDistribution.fixed(0.3)]
-    assert len(dists) * n * (n - 1) // 2 > 2 * _GRID_BLOCK
-    assert pair_scan_grid(n, dists) == [pair_scan(n, d) for d in dists]
+    expect = [pair_scan(n, d) for d in dists]
+    # ten class states per chain: a block holds two distributions and five take three blocks
+    monkeypatch.setattr(entanglement, "_GRID_BLOCK", 20)
+    assert pair_scan_grid(n, dists) == expect
+
+
+def _recording_pair_states(monkeypatch):
+    """Record (chain length, pairs, states) of every ``_pair_states`` call."""
+    calls = []
+
+    def recording(n, transfers, pairs):
+        states = _pair_states(n, transfers, pairs)
+        calls.append((n, list(pairs), states.shape[0] * states.shape[1]))
+        return states
+
+    monkeypatch.setattr(entanglement, "_pair_states", recording)
+    return calls
 
 
 @pytest.mark.parametrize(
     "n, n_dists, blocks",
-    [(10, 10, [450]), (64, 5, [4032, 4032, 2016]), (100, 3, [4950, 4950, 4950])],
+    [(10, 10, [100]), (64, 5, [50]), (100, 3, [30])],
 )
 def test_pair_scan_grid_block_sizes(monkeypatch, n, n_dists, blocks):
-    # a block stacks at most _GRID_BLOCK pair states, unless one chain alone has more
-    sizes = []
-
-    def recording(n, transfers, pairs):
-        states = _pair_states(n, transfers, pairs)
-        sizes.append(states.shape[0] * states.shape[1])
-        return states
-
-    monkeypatch.setattr(entanglement, "_pair_states", recording)
+    # only the ten class representatives are contracted, on a six-site chain
+    calls = _recording_pair_states(monkeypatch)
     pair_scan_grid(n, [PhaseDistribution.gaussian(s) for s in CLI_GRID[:n_dists]])
-    assert sizes == blocks
+    assert [size for _, _, size in calls] == blocks
+    assert all((m, len(reps)) == (6, 10) for m, reps, _ in calls)
+
+
+@pytest.mark.parametrize(
+    "n, grid_block, blocks",
+    [(10, 25, [20] * 5), (3, 7, [6] * 5), (3, 9, [9, 9, 9, 3]), (64, 9, [10] * 10)],
+)
+def test_pair_scan_grid_block_sizes_with_a_small_block(monkeypatch, n, grid_block, blocks):
+    # a block holds whole distributions, at least one, and each block is diagonalized once
+    dists = [PhaseDistribution.gaussian(s) for s in CLI_GRID]
+    expect = pair_scan_grid(n, dists)
+    monkeypatch.setattr(entanglement, "_GRID_BLOCK", grid_block)
+    calls = _recording_pair_states(monkeypatch)
+    eigensolvers = _counting_linalg(monkeypatch)
+    assert pair_scan_grid(n, dists) == expect
+    assert [size for _, _, size in calls] == blocks
+    assert eigensolvers == {"eigh": len(blocks), "svd": len(blocks), "eigvalsh": len(blocks)}
 
 
 def test_pair_scan_grid_edges():
@@ -355,7 +381,7 @@ def test_pair_scan_grid_checks_before_any_eigensolver(monkeypatch, bad, message)
     assert calls == {}
 
 
-@pytest.mark.parametrize("n, n_dists, blocks", [(10, 10, 1), (64, 5, 3)])
+@pytest.mark.parametrize("n, n_dists, blocks", [(10, 10, 1), (64, 5, 1)])
 def test_pair_scan_grid_diagonalizes_each_block_once(monkeypatch, n, n_dists, blocks):
     # one eigh feeds the positive-semidefinite guard and the concurrence;
     # eigvalsh is the partial-transpose check
@@ -368,7 +394,8 @@ def test_pair_scan_grid_diagonalizes_each_block_once(monkeypatch, n, n_dists, bl
 
 
 def pair_grid_per_state(n, dists):
-    """Oracle: ``_pair_grid`` analysing every pair state of a block, equal or not."""
+    """Oracle: every pair state of the whole n-site chain contracted and analysed, equal
+    or not, in blocks of at most ``_GRID_BLOCK`` states (one distribution at least)."""
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     per_block = max(1, _GRID_BLOCK // len(pairs))
     concurrences, ppt = [], []
@@ -383,20 +410,83 @@ def pair_grid_per_state(n, dists):
     return pairs, concurrences, ppt
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 10, 64])
+GRIDS = (
+    [PhaseDistribution.gaussian(float(sigma)) for sigma in CLI_GRID],
+    [PhaseDistribution.flat(w) for w in (0.0, 1.3, 2.5, 5.0, 2.0 * math.pi)],
+    # fixed phases far from 0 entangle many pairs, so a misplaced concurrence shows
+    [PhaseDistribution.fixed(t) for t in (0.0, -0.0, 0.3, 2.0, math.pi, -2.9)],
+)
+# one distribution of each kind: the oracle analyses 79,800 states per distribution at n = 400
+KINDS = [PhaseDistribution.gaussian(0.5), PhaseDistribution.flat(2.5), PhaseDistribution.fixed(2.0)]
+
+
+def same_bits(got, expect):
+    """Equal pair lists, and concurrence and PPT lists equal bit for bit (-0.0 is not 0.0)."""
+    floats = [np.array(v, dtype=float).tobytes() for v in got[1:] + expect[1:]]
+    return got[0] == expect[0] and floats[:2] == floats[2:]
+
+
+@pytest.mark.parametrize("n", [*range(2, 41), 64, 150, 400])
 def test_pair_grid_equals_the_per_state_analysis(n):
-    dists = [PhaseDistribution.gaussian(float(sigma)) for sigma in CLI_GRID]
-    assert _pair_grid(n, dists) == pair_grid_per_state(n, dists)
+    # every pair takes its class representative's values, at any chain length
+    for dists in GRIDS if n <= 64 else [KINDS]:
+        assert same_bits(_pair_grid(n, dists), pair_grid_per_state(n, dists))
 
 
-def test_pair_grid_equals_the_per_state_analysis_across_a_block_boundary():
+def test_pair_grid_equals_the_per_state_analysis_across_a_block_boundary(monkeypatch):
     dists = [PhaseDistribution.gaussian(s) for s in (0.1, 0.4, 0.7)]
     dists += [PhaseDistribution.flat(2.5), PhaseDistribution.fixed(0.3)]
-    # fixed phases far from 0 entangle many pairs, so a misplaced concurrence shows
     dists += [PhaseDistribution.fixed(2.0), PhaseDistribution.fixed(math.pi)]
-    expect = pair_grid_per_state(64, dists)  # four blocks
+    expect = pair_grid_per_state(64, dists)  # the oracle takes four blocks
     assert len(set(expect[1])) > 10  # distinct concurrences
-    assert _pair_grid(64, dists) == expect
+    assert same_bits(_pair_grid(64, dists), expect)
+    monkeypatch.setattr(entanglement, "_GRID_BLOCK", 25)  # two distributions per block
+    assert same_bits(_pair_grid(64, dists), expect)
+
+
+def test_pair_classes_place_every_pair_on_a_short_chain():
+    for n in range(2, 30):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        m, reps, index = _pair_classes(n, pairs)
+        assert m == min(n, 6) and len(reps) == {2: 1, 3: 3, 4: 6, 5: 9}.get(n, 10)
+        assert sorted(set(index)) == list(range(len(reps)))  # no representative unused
+        for (i, j), k in zip(pairs, index):
+            a, b = reps[k]
+            assert 1 <= a < b <= m
+            assert (a == 1, b == m, min(b - a, 3)) == (i == 1, j == n, min(j - i, 3))
+
+
+def full_chain_bits(n, dist, pairs):
+    states = _pair_states(n, [[_doubled_transfer(dist)] * (n - 1)], pairs)[0]
+    return _bits(states)
+
+
+def test_averaged_pair_state_equals_the_full_chain_state():
+    # every pair of every chain up to 40 sites, the distribution kinds in turn
+    for n in range(2, 41):
+        dist = KINDS[n % 3]
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        got = [averaged_pair_state(n, dist, pair).entries.tobytes() for pair in pairs]
+        assert got == full_chain_bits(n, dist, pairs), n
+
+
+@pytest.mark.parametrize(
+    "n, pair, rep", [(3, (1, 3), (1, 3)), (400, (200, 300), (2, 5)), (10**4, (1, 2), (1, 2))]
+)
+def test_averaged_pair_state_contracts_one_pair_of_at_most_six_sites(monkeypatch, n, pair, rep):
+    calls = _recording_pair_states(monkeypatch)
+    averaged_pair_state(n, PhaseDistribution.gaussian(0.5), pair)
+    assert calls == [(min(n, 6), [rep], 1)]
+
+
+def test_averaged_pair_state_equals_the_full_chain_state_at_400_sites():
+    n = 400
+    rng = np.random.default_rng(SEED + 4)
+    pairs = [(1, 2), (1, 3), (1, 4), (1, n), (2, n), (n - 2, n), (n - 1, n), (2, 3), (3, 5)]
+    pairs += [tuple(sorted(map(int, rng.choice(n, 2, replace=False) + 1))) for _ in range(40)]
+    for dist in KINDS:
+        got = [averaged_pair_state(n, dist, pair).entries.tobytes() for pair in pairs]
+        assert got == full_chain_bits(n, dist, pairs)
 
 
 @pytest.mark.parametrize("n, distinct", [(5, 90), (10, 100)])

@@ -32,6 +32,7 @@ def test_layer_pass_writes_every_piece(tmp_path, monkeypatch):
         "concurrence",
         "_pair_grid",
         "_pair_grid.n64",
+        "_pair_grid.n400",
         "pair_scan_grid",
         "_overlap_rows",
         "overlap_scan",

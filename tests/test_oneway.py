@@ -933,6 +933,28 @@ def test_gate_zero_probability_branch_raises():
         gate_fidelity_once(config_cnot4(), inputs, {(1, 2): math.pi})
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, float("nan")])
+def test_gate_contraction_rejects_non_finite_phases(bad):
+    # checked before np.exp, which would warn and turn the branch into NaN
+    cfg = config_cnot15()
+    inputs = {site: InputQubit.plus() for site in cfg.input_sites}
+    thetas = np.zeros((3, len(cfg.graph.edges)))
+    thetas[1, 4] = bad
+    with pytest.raises(ValueError, match="^edge phases must be finite$"):
+        oneway._zero_branch_fidelities(cfg, inputs, thetas)
+
+
+def test_gate_contraction_rejects_a_nan_branch_probability():
+    # a NaN bra makes the branch probability NaN, which no comparison with the atol passes
+    cfg = dataclasses.replace(config_cnot4(), name="cnot4_nan")  # not the cached config
+    bras, decode, labels, path = cfg._zero_branch
+    bras = {site: np.full_like(bra, np.nan) for site, bra in bras.items()}
+    cfg.__dict__["_zero_branch"] = (bras, decode, labels, path)
+    inputs = {site: InputQubit.plus() for site in cfg.input_sites}
+    with pytest.raises(ValueError, match="^all-zero branch has probability nan$"):
+        oneway._zero_branch_fidelities(cfg, inputs, np.zeros((2, len(cfg.graph.edges))))
+
+
 def test_gate_fidelity_mc_deterministic_and_matches_once():
     cfg = config_cnot4()
     inputs = {1: InputQubit.plus(), 3: InputQubit.plus()}

@@ -90,6 +90,27 @@ def test_char_value_gaussian():
 
 
 @pytest.mark.parametrize(
+    "sigma",
+    [0.0, 0.5, 19.3, 38.0, 38.6, 38.61, 39.0, 40.0, math.nextafter(40.0, 41.0), 41.0, 1e150],
+)
+def test_char_value_gaussian_keeps_its_bits_past_the_cutoff(sigma):
+    # exp(-x**2 / 2) is exactly 0.0 long before |x| = 40, where the value becomes 0j
+    d = PhaseDistribution.gaussian(sigma)
+    for k in (-2, -1, 1, 2):
+        assert repr(d.char_value(k)) == repr(complex(math.exp(-0.5 * (k * sigma) ** 2)))
+
+
+@pytest.mark.parametrize("sigma", [1e155, 1e300, 1.7976931348623157e308])
+def test_char_value_gaussian_does_not_overflow(sigma):
+    # (k * sigma) ** 2 raises OverflowError here
+    with pytest.raises(OverflowError):
+        sigma**2
+    d = PhaseDistribution.gaussian(sigma)
+    assert [repr(d.char_value(k)) for k in (-2, -1, 0, 1, 2)] == ["0j", "0j", "(1+0j)", "0j", "0j"]
+    assert np.array_equal(pair_transfer(d), pair_transfer(PhaseDistribution.gaussian(100.0)))
+
+
+@pytest.mark.parametrize(
     "dist",
     [
         PhaseDistribution.flat(2.5),

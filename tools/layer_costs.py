@@ -108,8 +108,11 @@ def pieces() -> dict:
                          pair_grid and (lambda: pair_grid(10, sigmas)))
     out["pair_scan_grid"] = ("the same, as PairAnalysis objects", 1,
                              lambda: entanglement.pair_scan_grid(10, sigmas))
-    out["_pair_grid.n64"] = ("64 sites, the 10-sigma grid: 20,160 pair states in 5 blocks", 1,
-                             pair_grid and (lambda: pair_grid(64, sigmas)))
+    for n in (64, 400):
+        out[f"_pair_grid.n{n}"] = (
+            f"{n} sites, the 10-sigma grid: {n * (n - 1) // 2 * 10:,} pair values "
+            "from 100 class states on a 6-site chain", 1,
+            pair_grid and (lambda n=n: pair_grid(n, sigmas)))
     overlap_rows = getattr(phasenoise, "_overlap_rows", None)
     out["_overlap_rows"] = ("the fig-noise table: 64 widths, sizes 3..10", 1,
                             overlap_rows and (lambda: overlap_rows(lambdas, range(3, 11))))
