@@ -83,6 +83,8 @@ class ExperimentSpec:
                 raise ExperimentError("grid must be non-empty")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ExperimentError("grid must be strictly increasing")
+        if self.kind in ("fig-cnot", "wire-scan") and self.params.get("seed", 0) < 0:
+            raise ExperimentError("seed must be >= 0")
         samples = self.params.get("samples")
         if samples is not None and samples < 2:
             raise ExperimentError("Monte Carlo needs at least 2 samples")
@@ -154,11 +156,10 @@ def _run_fig_noise(params: Mapping[str, Any]) -> list[tuple]:
             f"({len(sizes)} chain sizes x grid points)"
         )
     dists = [PhaseDistribution.flat(float(lam)) for lam in grid]
-    return [
-        (n, dist.param, fidelity_of_mean, mean_fidelity)
-        for n, rows in zip(sizes, _overlap_rows(dists, sizes))
-        for dist, (_, fidelity_of_mean, mean_fidelity) in zip(dists, rows)
-    ]
+    lambdas, rows = [dist.param for dist in dists], []
+    for n, (_, fidelity_of_mean, mean_fidelity) in zip(sizes, _overlap_rows(dists, sizes)):
+        rows += zip(itertools.repeat(n), lambdas, fidelity_of_mean.tolist(), mean_fidelity.tolist())
+    return rows
 
 
 def _run_fig_dephasing(params: Mapping[str, Any]) -> list[tuple]:
@@ -172,11 +173,8 @@ def _run_fig_dephasing(params: Mapping[str, Any]) -> list[tuple]:
             f"fig-dephasing to nmax {nmax} exceeds {_MAX_SCAN_ROWS} rows "
             f"({len(families)} families x N)"
         )
-    rows = []
-    for family in families:
-        for n in range(3, nmax + 1):
-            rows.append((family, n, gamma, dephasing_fidelity(family, n, gamma)))
-    return rows
+    sizes = range(3, nmax + 1)
+    return [(fam, n, gamma, dephasing_fidelity(fam, n, gamma)) for fam in families for n in sizes]
 
 
 def _run_fig_cnot(params: Mapping[str, Any]) -> list[tuple]:
@@ -208,8 +206,9 @@ def _run_concurrence_scan(params: Mapping[str, Any]) -> list[tuple]:
         )
     sigmas = [float(sigma) for sigma in grid]
     pairs, concurrences, ppt = _pair_grid(n, [PhaseDistribution.gaussian(s) for s in sigmas])
-    values = zip(concurrences, ppt)
-    return [(n, sigma, i, j, *next(values)) for sigma in sigmas for i, j in pairs]
+    sigma_column = itertools.chain.from_iterable(itertools.repeat(s, len(pairs)) for s in sigmas)
+    firsts, seconds = itertools.cycle(i for i, _ in pairs), itertools.cycle(j for _, j in pairs)
+    return list(zip(itertools.repeat(n), sigma_column, firsts, seconds, concurrences, ppt))
 
 
 def _run_wire_scan(params: Mapping[str, Any]) -> list[tuple]:
@@ -218,11 +217,8 @@ def _run_wire_scan(params: Mapping[str, Any]) -> list[tuple]:
     samples = int(params.get("samples", 2000))
     seed = int(params.get("seed", 42))
     dist = PhaseDistribution.gaussian(sigma)
-    rows = []
-    for n in sizes:
-        stats = wire_fidelity_mc(int(n), InputQubit.plus(), dist, samples, seed)
-        rows.append((int(n), sigma, stats.mean, stats.stderr))
-    return rows
+    stats = [wire_fidelity_mc(int(n), InputQubit.plus(), dist, samples, seed) for n in sizes]
+    return [(int(n), sigma, s.mean, s.stderr) for n, s in zip(sizes, stats)]
 
 
 def _run_stabilizer_check(params: Mapping[str, Any]) -> list[tuple]:

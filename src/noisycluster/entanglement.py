@@ -171,15 +171,6 @@ def _pair_states(
     return states.reshape(chains, -1, 4, 4)
 
 
-def _distinct(states: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """The distinct matrices of a ``(P, 4, 4)`` stack, first seen first, and the index of each
-    matrix among them. Matrices are keyed by their bytes: bit-exact, so -0.0 and 0.0 stay
-    apart and a NaN matrix is kept for the Hermitian test to reject."""
-    ids: dict[bytes, int] = {}
-    inverse = [ids.setdefault(s.tobytes(), len(ids)) for s in states]
-    return np.frombuffer(b"".join(ids), states.dtype).reshape(-1, 4, 4), inverse
-
-
 # matrices per batched analysis: a chain has at most ten class states, so a block
 # holds 409 distributions
 _GRID_BLOCK = 4096
@@ -193,8 +184,7 @@ def _pair_grid(n: int, dists: Sequence[PhaseDistribution]) -> tuple[list, list, 
     most six sites, and every pair takes its representative's values, so the cost of the
     physics does not grow with n. A block of whole distributions, at most ``_GRID_BLOCK``
     representative states, is checked and scored with one ``eigh``, which feeds both the
-    positive-semidefinite guard and the concurrence; each distinct state of a block, keyed
-    by its bytes, is analysed once and gives its values to every equal state.
+    positive-semidefinite guard and the concurrence.
     """
     _check_pair(n, (1, 2))
     pairs = list(itertools.combinations(range(1, n + 1), 2))
@@ -203,17 +193,16 @@ def _pair_grid(n: int, dists: Sequence[PhaseDistribution]) -> tuple[list, list, 
     concurrences, ppt = [], []
     for start in range(0, len(dists), per_block):
         block = [[_doubled_transfer(d)] * (m - 1) for d in dists[start : start + per_block]]
-        distinct, inverse = _distinct(_pair_states(m, block, reps).reshape(-1, 4, 4))
-        _check_hermitian_unit_trace(distinct)  # before LAPACK: NaN must not reach eigh
-        w, v = np.linalg.eigh(distinct)
+        states = _pair_states(m, block, reps).reshape(-1, 4, 4)
+        _check_hermitian_unit_trace(states)  # before LAPACK: NaN must not reach eigh
+        w, v = np.linalg.eigh(states)
         _check_psd(w[:, 0])
-        c, p = _concurrences(w, v).tolist(), _ppt_min_eigenvalues(distinct).tolist()
-        # one distribution at a time, in pair order; equal states share one float
+        c, p = _concurrences(w, v).tolist(), _ppt_min_eigenvalues(states).tolist()
+        # one distribution at a time, in pair order; pairs of one class share one float
         # object, not just one value: less memory per row
-        for row in range(0, len(inverse), len(reps)):
-            ids = inverse[row : row + len(reps)]
-            concurrences += map([c[k] for k in ids].__getitem__, index)
-            ppt += map([p[k] for k in ids].__getitem__, index)
+        for row in range(0, len(c), len(reps)):
+            concurrences += map(c[row : row + len(reps)].__getitem__, index)
+            ppt += map(p[row : row + len(reps)].__getitem__, index)
     return pairs, concurrences, ppt
 
 

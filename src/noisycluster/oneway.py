@@ -646,8 +646,16 @@ def wire_transfer(
     if len(thetas) != n - 1:
         raise ValueError(f"expected {n - 1} thetas")
     forced = _forced_outcomes(outcomes, n - 1, rng)
-    amplitudes, fid = _wire_kernel(input_qubit, thetas, forced, rng)
+    try:
+        amplitudes, fid = _wire_kernel(input_qubit, thetas, forced, rng)
+    except ValueError as exc:  # math.cos fails on an infinite phase, NaN unnormalizes
+        raise _wire_error(exc, thetas)
     return PureState(1, amplitudes), fid
+
+
+def _wire_error(exc: ValueError, thetas: Sequence[float]) -> ValueError:
+    """The error of a failed wire run: ``exc``, or a non-finite phase that it hides."""
+    return exc if np.isfinite(thetas).all() else ValueError("edge phases must be finite")
 
 
 def wire_fidelity_mc(
@@ -665,7 +673,10 @@ def wire_fidelity_mc(
     zeros, values = (0,) * (n - 1), np.empty(n_samples)
     frame = _wire_correction(n, zeros)  # every sample takes the all-zero branch
     for k, row in enumerate(_seeded_rows(dist, n - 1, n_samples, master_seed)):
-        values[k] = _wire_kernel(input_qubit, row.tolist(), zeros, None, frame)[1]
+        try:
+            values[k] = _wire_kernel(input_qubit, row.tolist(), zeros, None, frame)[1]
+        except ValueError as exc:
+            raise _wire_error(exc, row)
     return _stats_from_samples(values, master_seed)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -139,10 +139,11 @@ def pair_transfer(dist: PhaseDistribution) -> np.ndarray:
 
 
 def _overlap_rows(
-    dists: Sequence[PhaseDistribution], sizes: Sequence[int], row: Callable = _overlap_row
-) -> list[list]:
-    """``overlap_scan``, with each entry made by ``row(mean_overlap, fidelity_of_mean,
-    mean_fidelity)``: a checked tuple by default, so the CLI builds no result object."""
+    dists: Sequence[PhaseDistribution], sizes: Sequence[int]
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``overlap_scan`` as arrays: per size, the mean overlaps, fidelities of the mean and
+    mean fidelities over ``dists``, range-checked as a whole (the first bad entry raises
+    ``_overlap_row``'s message), so the CLI builds no result object."""
     if any(n < 2 for n in sizes):
         raise ValueError("chain needs at least 2 sites")
     char = np.array([[d.char_value(k) for k in (-1, 0, 1)] for d in dists]).reshape(-1, 3)
@@ -154,11 +155,15 @@ def _overlap_rows(
         v2 = (v2[:, :, None] * step2).sum(axis=1)
         v4 = (v4[:, :, None] * step4).sum(axis=1)
         if n in sizes:
-            mean_fid = v4.sum(axis=1)
-            if (worst := np.abs(mean_fid.imag).max(initial=0.0)) > 1e-10:
-                raise ValueError(f"mean fidelity has imaginary part {worst:.3e}")
-            pairs = zip(v2.sum(axis=1).tolist(), mean_fid.tolist())
-            results[n] = [row(f, abs(f) ** 2, g.real) for f, g in pairs]
+            overlap, mean_fid = v2.sum(axis=1), v4.sum(axis=1)
+            fid, mean, atol = np.abs(overlap) ** 2, mean_fid.real, RANGE_ATOL
+            # _overlap_row's tests; fid >= 0, so a mean below -atol fails the last one
+            ok = (fid <= 1 + atol) & (mean <= 1 + atol) & (mean >= fid - atol)  # NaN fails
+            if not ok.all():  # the first bad entry raises its message
+                _overlap_row(*(a[np.argmin(ok)].item() for a in (overlap, fid, mean)))
+            if not (imag := np.abs(mean_fid.imag)).max(initial=0.0) <= 1e-10:  # NaN fails too
+                raise ValueError(f"mean fidelity has imaginary part {imag.max():.3e}")
+            results[n] = overlap, fid, mean
     return [results[n] for n in sizes]
 
 
@@ -167,7 +172,8 @@ def overlap_scan(
 ) -> list[list[OverlapResult]]:
     """Both phase averages for every chain size (outer) and distribution
     (inner), with i.i.d. edge deviations, from one prefix sweep."""
-    return _overlap_rows(dists, sizes, OverlapResult)
+    rows = _overlap_rows(dists, sizes)
+    return [[OverlapResult(*v) for v in zip(*(a.tolist() for a in row))] for row in rows]
 
 
 def overlap_avg(dist: PhaseDistribution, n: int) -> OverlapResult:
@@ -208,14 +214,12 @@ def dephasing_fidelity(family: str, n: int, gamma: float) -> float:
         if n < 3:
             raise ValueError("w family needs n >= 3")
         return (1.0 + (n - 1) * g**2) / n
-    if family in ("linear_cluster", "square_cluster"):
-        if family == "linear_cluster":
-            if n < 2:
-                raise ValueError("linear cluster needs n >= 2")
-            size = n
-        else:
-            if n < 1:
-                raise ValueError("square cluster side must be >= 1")
-            size = n * n
-        return (0.5 * (1.0 + g)) ** size
+    if family == "linear_cluster":
+        if n < 2:
+            raise ValueError("linear cluster needs n >= 2")
+        return (0.5 * (1.0 + g)) ** n
+    if family == "square_cluster":
+        if n < 1:
+            raise ValueError("square cluster side must be >= 1")
+        return (0.5 * (1.0 + g)) ** (n * n)
     raise ValueError(f"unknown family {family!r}; pick one of {DEPHASING_FAMILIES}")

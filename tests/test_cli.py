@@ -69,6 +69,8 @@ def test_exit_two_for_runtime_errors(tmp_path, capsys):
         ("stabilizer-check", "--graph", str(nan_graph)),
         ("fig-dephasing", "--gamma", "nan"),
         ("wire-scan", "--sigma", "nan", "--sizes", "3"),
+        # draws overflow to inf; math.cos used to fail with a bare "math domain error"
+        ("wire-scan", "--sigma", "1e308", "--samples", "2"),
         ("fig-cnot", "--samples", "1"),
         # draws overflow to inf; they used to print nan rows with a RuntimeWarning
         ("fig-cnot", "--samples", "3", "--grid", "0:1e308:2"),
@@ -82,6 +84,22 @@ def test_exit_two_for_runtime_errors(tmp_path, capsys):
         assert code == 2, argv
         assert err.startswith("cluster-bench:")
         assert "Traceback" not in err + out
+
+
+def test_overflowing_wire_draws_name_the_phase(capsys):
+    code, out, err = run_cli(capsys, "wire-scan", "--sigma", "1e308", "--samples", "2")
+    assert (code, out, err) == (2, "", "cluster-bench: edge phases must be finite\n")
+
+
+@pytest.mark.parametrize("argv", [("fig-cnot", "--seed", "-1"), ("wire-scan", "--seed", "-5")])
+def test_negative_seed_is_refused_before_any_draw(capsys, monkeypatch, argv):
+    def no_draw(*args):
+        raise AssertionError("the Monte Carlo ran")
+
+    monkeypatch.setattr(cli, "gate_fidelity_mc", no_draw)
+    monkeypatch.setattr(cli, "wire_fidelity_mc", no_draw)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "cluster-bench: seed must be >= 0\n")
 
 
 @pytest.mark.parametrize("size", ["0", "-3", "1"])

@@ -458,7 +458,7 @@ def test_pair_classes_place_every_pair_on_a_short_chain():
 
 def full_chain_bits(n, dist, pairs):
     states = _pair_states(n, [[_doubled_transfer(dist)] * (n - 1)], pairs)[0]
-    return _bits(states)
+    return [s.tobytes() for s in states]
 
 
 def test_averaged_pair_state_equals_the_full_chain_state():
@@ -489,54 +489,44 @@ def test_averaged_pair_state_equals_the_full_chain_state_at_400_sites():
         assert got == full_chain_bits(n, dist, pairs)
 
 
-@pytest.mark.parametrize("n, distinct", [(5, 90), (10, 100)])
-def test_pair_grid_analyses_each_distinct_state_once(monkeypatch, n, distinct):
-    # a uniform chain's pair state depends only on the pair's neighbourhood
+@pytest.mark.parametrize("n, states", [(5, 90), (10, 100)])
+def test_pair_grid_analyses_each_class_state_once(monkeypatch, n, states):
+    # a uniform chain's pair state depends only on the pair's neighbourhood: nine
+    # classes at n = 5 and ten from n = 6 on, per distribution, whatever n is
     matrices = _counting_linalg(monkeypatch, len)
     pairs, _, _ = _pair_grid(n, [PhaseDistribution.gaussian(float(s)) for s in CLI_GRID])
-    assert len(pairs) * len(CLI_GRID) > distinct
-    assert matrices == {"eigh": distinct, "svd": distinct, "eigvalsh": distinct}
+    assert len(pairs) * len(CLI_GRID) > states
+    assert matrices == {"eigh": states, "svd": states, "eigvalsh": states}
 
 
-def _checked_stacks(monkeypatch, stack):
-    """Make ``stack`` the pair states of a 2-site chain, one state per distribution,
-    and record every stack that reaches the Hermitian test."""
-    seen = []
+# grids on which class states repeat: equal across classes (sigma 0, a wide Gaussian or
+# flat width, a fixed phase of 0 or a multiple of 2 pi) or across distributions
+DEGENERATE_GRIDS = (
+    [PhaseDistribution.gaussian(s) for s in (0.0, 0.0, 5.0, 40.0, 50.0, 1000.0, 1000.0)],
+    [PhaseDistribution.gaussian(float(s)) for s in np.linspace(0.0, 1.0, 11)],
+    [PhaseDistribution.flat(w) for w in (0.0, 2.0 * math.pi, 4.0 * math.pi, 1e6, 1e6)],
+    [PhaseDistribution.fixed(t) for t in (0.0, -0.0, 2.0 * math.pi, math.pi, math.pi, 0.3)],
+)
 
-    def recording(states):
-        seen.append(states.copy())
-        _check_hermitian_unit_trace(states)
 
+@pytest.mark.parametrize("n", [2, 3, 5, 6, 7, 12])
+def test_pair_grid_on_degenerate_grids_equals_the_per_state_analysis(n):
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    for dists in DEGENERATE_GRIDS:
+        states = [averaged_pair_state(n, d, pair) for d in dists for pair in pairs]
+        got_pairs, concurrences, ppt = _pair_grid(n, dists)
+        assert got_pairs == pairs
+        assert concurrences == [concurrence(rho) for rho in states]
+        assert ppt == [ppt_min_eigenvalue(rho) for rho in states]
+
+
+def test_pair_grid_rejects_a_nan_state_before_any_solver(monkeypatch):
+    stack = np.array([np.eye(4) / 4, np.full((4, 4), np.nan), np.eye(4) / 4], dtype=complex)
     monkeypatch.setattr(entanglement, "_pair_states", lambda n, t, pairs: stack[:, None].copy())
-    monkeypatch.setattr(entanglement, "_check_hermitian_unit_trace", recording)
-    return seen
-
-
-def _bits(states):
-    return [s.tobytes() for s in states]
-
-
-def test_pair_grid_keeps_a_signed_zero_apart(monkeypatch):
-    rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-    signed = rho.copy()
-    signed[0, 1] = complex(-0.0, 0.0)
-    assert np.array_equal(rho, signed) and _bits([rho]) != _bits([signed])
-    seen = _checked_stacks(monkeypatch, np.array([rho, signed, rho, signed]))
-    pairs, concurrences, ppt = _pair_grid(2, [PhaseDistribution.gaussian(0.5)] * 4)
-    assert [_bits(s) for s in seen] == [_bits([rho, signed])]
-    assert pairs == [(1, 2)] and concurrences == [0.0] * 4 and ppt == [ppt[0]] * 4
-
-
-def test_pair_grid_keeps_nan_payloads_apart(monkeypatch):
-    quiet = np.full((4, 4), np.nan, dtype=complex)
-    payload = quiet.copy()
-    payload.real[0, 0] = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
-    assert _bits([quiet]) != _bits([payload])
-    seen = _checked_stacks(monkeypatch, np.array([quiet, payload, payload]))
     calls = _counting_linalg(monkeypatch)
     with pytest.raises(ValueError, match="not hermitian"):
         _pair_grid(2, [PhaseDistribution.gaussian(0.5)] * 3)
-    assert [_bits(s) for s in seen] == [_bits([quiet, payload])] and calls == {}
+    assert calls == {}
 
 
 # --- sampled concurrence ---

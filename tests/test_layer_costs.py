@@ -1,4 +1,5 @@
-"""Smoke test of tools/layer_costs.py: one per-layer pass into a temporary file."""
+"""Smoke tests of tools/layer_costs.py: one per-layer pass into a temporary file, and its
+chain-exact round against the benchmark's."""
 
 import importlib.util
 import json
@@ -7,13 +8,18 @@ import pathlib
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "layer_costs.py"
 
 
-def test_layer_pass_writes_every_piece(tmp_path, monkeypatch):
-    # the tool pins BLAS threads in os.environ at import; keep that inside this test
+def load_tool(monkeypatch):
+    # the tool pins BLAS threads in os.environ at import; keep that inside the test
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     spec = importlib.util.spec_from_file_location("layer_costs", TOOL)
     layer_costs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layer_costs)
+    return layer_costs
+
+
+def test_layer_pass_writes_every_piece(tmp_path, monkeypatch):
+    layer_costs = load_tool(monkeypatch)
     out = tmp_path / "bench.json"
     assert layer_costs.main([str(out), "--repeat", "1", "--budget", "0", "--layers-only"]) == 0
     record = json.loads(out.read_text())
@@ -38,6 +44,14 @@ def test_layer_pass_writes_every_piece(tmp_path, monkeypatch):
         "overlap_scan",
         "write.fig_noise",
         "write.concurrence_scan_n10",
+        "chain_exact_round",
     }
     for name, entry in record["layers"].items():
         assert entry["ms"] > 0 and entry["loops"] == 1 and entry["repeat"] == 1, name
+
+
+def test_chain_exact_round_is_the_benchmark_round(monkeypatch):
+    layer_costs = load_tool(monkeypatch)
+    monkeypatch.syspath_prepend(str(TOOL.parent.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    assert layer_costs.CHAIN_EXACT == workloads.ChainExact.commands

@@ -27,7 +27,7 @@ from noisycluster.oneway import (
     wire_fidelity_mc,
     wire_transfer,
 )
-from noisycluster.phasenoise import PhaseDistribution
+from noisycluster.phasenoise import PhaseDistribution, _seeded_rows
 from noisycluster.states import (
     DensityMatrix,
     FORCE_PROB_ATOL,
@@ -797,6 +797,39 @@ def test_wire_zero_probability_branch_raises():
         wire_transfer(3, InputQubit.plus(), outcomes=(0, 2))
 
 
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("at", [0, 1])
+def test_wire_transfer_rejects_a_non_finite_phase(theta, at):
+    # math.cos fails on an infinite phase with a bare domain error, and a NaN phase
+    # ends as an unnormalized state: either way the message names the phase
+    thetas = [0.3, -0.2]
+    thetas[at] = theta
+    sampled = {"outcomes": "sample", "rng": np.random.default_rng(SEED)}
+    for kwargs in ({}, {"outcomes": (1, 0)}, sampled):
+        with pytest.raises(ValueError, match="^edge phases must be finite$"):
+            wire_transfer(3, InputQubit.plus(), thetas, **kwargs)
+
+
+def test_wire_fidelity_mc_rejects_overflowing_draws():
+    # a Gaussian of sigma 1e308 draws infinities: any draw past 1.8 sigma overflows
+    dist = PhaseDistribution.gaussian(1e308)
+    assert not np.isfinite(np.concatenate(list(_seeded_rows(dist, 9, 20, SEED)))).all()
+    with pytest.raises(ValueError, match="^edge phases must be finite$"):
+        wire_fidelity_mc(10, InputQubit.plus(), dist, 20, SEED)
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**70)])
+def test_monte_carlo_drivers_leave_a_negative_seed_to_seed_sequence(seed):
+    inputs = {1: InputQubit.plus(), 3: InputQubit.plus()}
+    dist = PhaseDistribution.gaussian(0.5)
+    for run in (
+        lambda: wire_fidelity_mc(3, InputQubit.plus(), dist, 2, seed),
+        lambda: gate_fidelity_mc(config_cnot4(), inputs, dist, 2, seed),
+    ):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            run()
+
+
 def test_wire_fidelity_mc_matches_manual_stream():
     n, samples = 3, 24
     dist = PhaseDistribution.gaussian(0.5)
@@ -986,12 +1019,12 @@ NAN = float("nan")
         (lambda: DensityMatrix(1, [[NAN, 0.0], [0.0, 1.0]]), "density matrix not hermitian"),
         (lambda: chain_graph(3, [NAN, 0.0]), r"edge \(1, 2\) deviation must be finite"),
         (lambda: chain_graph(3, [0.0, math.inf]), r"edge \(2, 3\) deviation must be finite"),
-        (lambda: wire_transfer(3, InputQubit.plus(), [NAN, 0.1]), "state not normalized"),
+        (lambda: wire_transfer(3, InputQubit.plus(), [NAN, 0.1]), "edge phases must be finite"),
         (
             lambda: wire_transfer(
                 3, InputQubit.plus(), [0.1, NAN], outcomes="sample", rng=np.random.default_rng(SEED)
             ),
-            "state not normalized",
+            "edge phases must be finite",
         ),
         (
             lambda: gate_fidelity_once(

@@ -327,14 +327,71 @@ def test_overlap_scan_edge_cases():
 
 def test_overlap_rows_are_the_overlap_scan_fields():
     sizes = [7, 2, 12, 7]
-    assert _overlap_rows(SCAN_DISTS, sizes) == [
+    rows = _overlap_rows(SCAN_DISTS, sizes)
+    assert [list(zip(*(column.tolist() for column in row))) for row in rows] == [
         [(r.mean_overlap, r.fidelity_of_mean, r.mean_fidelity) for r in results]
         for results in overlap_scan(SCAN_DISTS, sizes)
     ]
-    assert _overlap_rows([], [3, 4]) == [[], []]
+    assert all(len(row) == 3 and all(len(c) == len(SCAN_DISTS) for c in row) for row in rows)
+    assert [[len(c) for c in row] for row in _overlap_rows([], [3, 4])] == [[0] * 3] * 2
     assert _overlap_rows(SCAN_DISTS, []) == []
     with pytest.raises(ValueError, match="at least 2"):
         _overlap_rows(SCAN_DISTS, [5, 1])
+
+
+class CharStub:
+    """All the sweep reads of a distribution: its characteristic values, here given. The
+    mean overlap reads E e^{i theta}; the mean fidelity reads E e^{-i theta} as well."""
+
+    def __init__(self, plus, minus=None):
+        self.char = {-1: complex(plus if minus is None else minus), 0: 1.0 + 0.0j, 1: complex(plus)}
+
+    def char_value(self, k):
+        return self.char[k]
+
+
+@pytest.mark.parametrize("at", [0, 3, len(SCAN_DISTS)])
+@pytest.mark.parametrize(
+    "stub, message",
+    [
+        (CharStub(math.nan), "fidelity_of_mean = nan outside"),
+        (CharStub(1.1), r"fidelity_of_mean = 1\.\d+ outside"),
+        (CharStub(1.0, minus=1.1), r"mean_fidelity = 1\.\d+ outside"),
+        (CharStub(1.0, minus=0.5), "mean fidelity below fidelity of the mean"),
+        # E e^{-i theta} not the conjugate of E e^{i theta}: the mean fidelity is not real
+        (CharStub(0.5, minus=0.5 + 0.2j), "mean fidelity has imaginary part 5.625e-02"),
+    ],
+)
+def test_overlap_rows_check_every_row(at, stub, message):
+    # one bad distribution anywhere in the grid fails the sweep, with _overlap_row's message
+    # when a value is out of range
+    dists = SCAN_DISTS[:at] + [stub] + SCAN_DISTS[at:]
+    for scan in (_overlap_rows, overlap_scan):
+        with pytest.raises(ValueError, match=message):
+            scan(dists, [3, 9])
+
+
+def test_overlap_rows_report_the_first_bad_row():
+    # a row over 1 before a NaN row: the message names the first
+    dists = [SCAN_DISTS[0], CharStub(1.5), SCAN_DISTS[1], CharStub(math.nan)]
+    with pytest.raises(ValueError, match=r"fidelity_of_mean = \d[\d.]* outside"):
+        _overlap_rows(dists, [4])
+    with pytest.raises(ValueError, match="fidelity_of_mean = nan outside"):
+        _overlap_rows(dists[2:], [4])
+
+
+def test_fig_noise_rows_are_the_overlap_scan_fields():
+    for grid in (None, np.linspace(0.0, 50.0, 997)):
+        lambdas = np.linspace(0.0, 2.0 * math.pi, 64) if grid is None else grid
+        dists = [PhaseDistribution.flat(float(lam)) for lam in lambdas]
+        expect = [
+            (n, dist.param, r.fidelity_of_mean, r.mean_fidelity)
+            for n, results in zip(range(3, 11), overlap_scan(dists, range(3, 11)))
+            for dist, r in zip(dists, results)
+        ]
+        rows = cli._run_fig_noise({} if grid is None else {"grid": grid})
+        assert rows == expect
+        assert {tuple(map(type, row)) for row in rows} == {(int, float, float, float)}
 
 
 def test_overlap_rows_range_check_every_row(monkeypatch):

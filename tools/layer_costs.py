@@ -24,6 +24,7 @@ for _var in THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 import argparse
+import contextlib
 import io
 import json
 import math
@@ -53,6 +54,14 @@ SUBCOMMANDS = (
     ("concurrence-scan",),
     ("wire-scan",),
     ("stabilizer-check", "--graph", "{graph}"),
+)
+# one round of the benchmark's chain-exact workload (bench/workloads.py, ChainExact.commands)
+CHAIN_EXACT = (
+    ("fig-noise",),
+    ("fig-dephasing",),
+    ("concurrence-scan",),
+    ("concurrence-scan", "--n", "10"),
+    ("fig-dephasing", "--nmax", "32"),
 )
 
 
@@ -124,7 +133,17 @@ def pieces() -> dict:
         table = cli.run_experiment(cli.ExperimentSpec(kind, params))
         out[name] = (f"ResultTable.write of the {kind} table ({len(table.rows)} rows)", 1,
                      lambda t=table: t.write(io.StringIO(), with_timestamp=False))
+    out["chain_exact_round"] = ("the five chain-exact argvs through cli.main, into memory", 1,
+                                chain_exact_round)
     return out
+
+
+def chain_exact_round() -> None:
+    for argv in CHAIN_EXACT:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([*argv, "--no-meta"])
+        if code != 0:
+            raise RuntimeError(f"cluster-bench {' '.join(argv)} exited {code}")
 
 
 def time_call(fn, per_call: int, repeat: int, budget: float) -> dict:
