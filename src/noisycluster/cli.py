@@ -44,13 +44,18 @@ EXPERIMENT_KINDS = (
 # Fig 2(c) input amplitudes: control and target both a = 0.5, b = sqrt(0.75)
 CNOT_INPUT = InputQubit(0.5, math.sqrt(0.75))
 
+# columns and printf row template of each table: floats at 12 significant digits,
+# ints and bools as integers (bools as 1 and 0), strings as they are
 _SCHEMAS = {
-    "fig-noise": ("N", "lambda", "fidelity_of_mean", "mean_fidelity"),
-    "fig-dephasing": ("family", "N", "gamma", "fidelity"),
-    "fig-cnot": ("config", "sigma", "mean", "stderr", "n_samples"),
-    "concurrence-scan": ("N", "sigma", "i", "j", "concurrence", "ppt_min_eig"),
-    "wire-scan": ("N", "sigma", "mean", "stderr"),
-    "stabilizer-check": ("site", "eigenvalue", "expected", "ok"),
+    "fig-noise": (("N", "lambda", "fidelity_of_mean", "mean_fidelity"), "%d,%.12g,%.12g,%.12g\n"),
+    "fig-dephasing": (("family", "N", "gamma", "fidelity"), "%s,%d,%.12g,%.12g\n"),
+    "fig-cnot": (("config", "sigma", "mean", "stderr", "n_samples"), "%s,%.12g,%.12g,%.12g,%d\n"),
+    "concurrence-scan": (
+        ("N", "sigma", "i", "j", "concurrence", "ppt_min_eig"),
+        "%d,%.12g,%d,%d,%.12g,%.12g\n",
+    ),
+    "wire-scan": (("N", "sigma", "mean", "stderr"), "%d,%.12g,%.12g,%.12g\n"),
+    "stabilizer-check": (("site", "eigenvalue", "expected", "ok"), "%d,%.12g,%.12g,%d\n"),
 }
 
 # rows per joined write: a long table is never held a second time as one string
@@ -94,19 +99,22 @@ class ExperimentSpec:
 
 @dataclass
 class ResultTable:
+    """CSV rows under a header; ``template`` formats one row, one ``%`` field per column."""
+
     columns: tuple[str, ...]
+    template: str
     rows: list[tuple]
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.template.count("%") != len(self.columns):
+            raise ValueError("row template does not match columns")
         if set(map(len, self.rows)) - {len(self.columns)}:
             raise ValueError("row width does not match columns")
 
     def write(self, out: TextIO, with_timestamp: bool = True) -> None:
-        """Metadata, header, then rows in blocks of ``_WRITE_BLOCK``. A block whose
-        every column has one cell format is one printf template, repeated once per
-        row and filled from the block's cells in one ``%``; a block with a column
-        of mixed formats (ints and floats, say) falls back to one template per row."""
+        """Metadata, header, then rows in blocks of ``_WRITE_BLOCK``: each block is the
+        row template repeated once per row, filled from the block's cells in one ``%``."""
         lines = [f"# {key}: {value}\n" for key, value in self.metadata.items()]
         if with_timestamp:
             stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -115,31 +123,7 @@ class ResultTable:
         out.write("".join(lines))
         for start in range(0, len(self.rows), _WRITE_BLOCK):
             block = self.rows[start : start + _WRITE_BLOCK]
-            formats = [{_cell_template(cls) for cls in set(map(type, col))} for col in zip(*block)]
-            if all(len(cell) == 1 for cell in formats):
-                template = ",".join(cell.pop() for cell in formats) + "\n"
-                text = (template * len(block)) % tuple(itertools.chain.from_iterable(block))
-            else:
-                text = "".join([_row_template(tuple(map(type, row))) % tuple(row) for row in block])
-            out.write(text)
-
-
-@functools.lru_cache(maxsize=None)
-def _cell_template(cls: type) -> str:
-    if issubclass(cls, (float, np.floating)):  # most cells; bool is not a float
-        return "%.12g"
-    if issubclass(cls, (int, np.integer)):  # bool formats as 1 / 0
-        return "%d"
-    return "%s"  # np.bool_ too: it is neither an int nor a bool
-
-
-@functools.lru_cache(maxsize=None)
-def _row_template(types: tuple[type, ...]) -> str:
-    return ",".join(map(_cell_template, types)) + "\n"
-
-
-def _format_cell(value) -> str:
-    return _cell_template(type(value)) % (value,)
+            out.write((self.template * len(block)) % tuple(itertools.chain.from_iterable(block)))
 
 
 # --- experiment implementations ---------------------------------------------
@@ -252,7 +236,8 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     for key in ("seed", "samples", "gamma", "sigma", "n", "nmax", "graph"):
         if key in spec.params:
             meta[key] = str(spec.params[key])
-    return ResultTable(columns=_SCHEMAS[spec.kind], rows=rows, metadata=meta)
+    columns, template = _SCHEMAS[spec.kind]
+    return ResultTable(columns=columns, template=template, rows=rows, metadata=meta)
 
 
 # --- argument handling -------------------------------------------------------

@@ -37,20 +37,12 @@ from .states import (
     MeasurementBasis,
     NORM_ATOL,
     PAULI_X,
-    PAULI_Y,
     PAULI_Z,
     PureState,
     apply_local,
     measure,
     phase_z,
 )
-
-MATCH_ATOL = 1e-8
-
-
-class PatternSearchError(RuntimeError):
-    pass
-
 
 @dataclass(frozen=True)
 class InlineCorrection:
@@ -67,15 +59,18 @@ class MeasurementPattern:
     """Ordered single-qubit measurements with a Pauli decoding table.
 
     ``decoding`` maps realized outcome tuples to per-output
-    (sigma_x exponent, sigma_z exponent) pairs. Patterns whose table covers
-    only the all-zero branch are marked ``postselect_only``.
+    (sigma_x exponent, sigma_z exponent) pairs.
     """
 
     steps: tuple[tuple[int, MeasurementBasis], ...]
     outputs: tuple[int, ...]
     decoding: Mapping[tuple[int, ...], tuple[tuple[int, int], ...]]
-    postselect_only: bool = False
     corrections: tuple[InlineCorrection, ...] = ()
+
+    @property
+    def postselect_only(self) -> bool:
+        """Whether the decoding table leaves some outcome branch out."""
+        return len(self.decoding) < 2 ** len(self.steps)
 
     def measured_sites(self) -> tuple[int, ...]:
         return tuple(site for site, _ in self.steps)
@@ -192,7 +187,6 @@ def config_cnot4() -> GateConfig:
         steps=((1, MeasurementBasis.x()), (3, MeasurementBasis.x())),
         outputs=(2, 4),
         decoding=decoding,
-        postselect_only=False,
     )
     return GateConfig(
         name="cnot4",
@@ -221,8 +215,9 @@ def _bridged_graph() -> ClusterGraph:
 
 _SQUASHED_I_MEASURED = (1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14)
 
-# X/Y assignment for the measured sites above, derived once by
-# derive_xy_pattern and frozen; tests re-run the search against this.
+# X/Y assignment for the measured sites above, a frozen constant of the
+# squashed-I layout (Raussendorf, Browne & Briegel, PRA 68, 022312, 2003);
+# the dense truth tables in the tests check it, with the decoding below.
 _SQUASHED_I_XY = ("X", "Y", "Y", "Y", "Y", "Y", "Y", "X", "X", "X", "X", "X", "Y")
 # all-zero branch byproduct, per output (x exponent, z exponent)
 _SQUASHED_I_DECODING = ((0, 1), (0, 0))
@@ -242,7 +237,6 @@ def config_cnot15() -> GateConfig:
         steps=steps,
         outputs=(7, 15),
         decoding={(0,) * len(steps): _SQUASHED_I_DECODING},
-        postselect_only=True,
     )
     return GateConfig(
         name="cnot15",
@@ -280,7 +274,6 @@ def config_cnot16_bridged() -> GateConfig:
         steps=steps,
         outputs=(7, 15),
         decoding={(0,) * len(steps): _SQUASHED_I_DECODING},
-        postselect_only=True,
         corrections=tuple(
             InlineCorrection(16, site, name, clifford[name])
             for site, name in _BRIDGE_CORRECTIONS
@@ -487,86 +480,6 @@ def gate_fidelity_mc(
     width = len(config.graph.edges)
     thetas = np.array(list(_seeded_rows(dist, width, n_samples, master_seed))).reshape(-1, width)
     return _stats_from_samples(_zero_branch_fidelities(config, inputs, thetas), master_seed)
-
-
-# --- pattern search ----------------------------------------------------------
-
-_PAULI_BY_NAME = {"I": IDENTITY_2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
-_PAULI_EXPONENTS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-
-# rows: the outcome-0 bras of the X and Y bases
-_XY_BRAS = np.array([[1.0, 1.0], [1.0, -1j]]) / math.sqrt(2.0)
-
-_PROBE_INPUTS: tuple[tuple[InputQubit, InputQubit], ...] = (
-    (InputQubit.zero(), InputQubit.zero()),
-    (InputQubit.zero(), InputQubit.one()),
-    (InputQubit.one(), InputQubit.zero()),
-    (InputQubit.one(), InputQubit.one()),
-    (InputQubit.plus(), InputQubit.zero()),
-    (InputQubit.plus(), InputQubit.plus()),
-)
-
-
-def derive_xy_pattern(
-    graph: ClusterGraph,
-    input_sites: tuple[int, int],
-    outputs: tuple[int, int],
-    ideal_gate: np.ndarray,
-    output_frame: tuple[np.ndarray, np.ndarray] = (IDENTITY_2, IDENTITY_2),
-) -> MeasurementPattern:
-    """Exhaustive search for an X/Y basis assignment realizing the gate.
-
-    Measured sites are all non-output sites, ascending. A candidate is
-    accepted when one fixed two-qubit Pauli P turns its postselected output
-    into the ideal gate's output (up to phase) on four computational probes
-    and two superposition probes. Returns the lexicographically first
-    acceptable assignment (X before Y), with P as the all-zero decoding,
-    or raises ``PatternSearchError``.
-
-    Each probe cluster is built once; a Kronecker product of the outcome-0
-    bras of X and Y over the measured sites gives every candidate's
-    unnormalised output at once, one row per candidate.
-    """
-    measured = tuple(s for s in graph.sites if s not in outputs)
-    if len(measured) > 14:
-        raise ValueError("search space capped at 2^14 candidates")
-    clusters = [
-        build_cluster(graph, {input_sites[0]: in1, input_sites[1]: in2})
-        for in1, in2 in _PROBE_INPUTS
-    ]
-    if tuple(s for s in graph.sites if s not in measured) != tuple(outputs):
-        raise AssertionError("outputs out of order")
-    axes = [graph.position(s) - 1 for s in measured + tuple(outputs)]
-    pauli_names = list(itertools.product("IXYZ", repeat=2))
-    frame_mat = np.kron(output_frame[0], output_frame[1])
-    decoders = np.stack(
-        [frame_mat @ np.kron(_PAULI_BY_NAME[a], _PAULI_BY_NAME[b]) for a, b in pauli_names]
-    )
-    alive = np.ones((2 ** len(measured), len(pauli_names)), dtype=bool)
-    for (in1, in2), cluster in zip(_PROBE_INPUTS, clusters):
-        out = cluster.amplitudes.reshape((2,) * graph.num_sites).transpose(axes)
-        for k in range(len(measured)):  # axis k becomes the X/Y choice of site k
-            out = np.einsum("ab,ibj->iaj", _XY_BRAS, out.reshape(2**k, 2, -1))
-        out = out.reshape(-1, 4)
-        probability = np.einsum("bi,bi->b", out.conj(), out).real
-        possible = probability >= FORCE_PROB_ATOL
-        alive &= possible[:, None]
-        ideal = ideal_gate @ np.kron(in1.as_array(), in2.as_array())
-        overlaps = out[possible] @ (ideal.conj() @ decoders).T
-        alive[possible] &= (
-            np.abs(np.abs(overlaps) / np.sqrt(probability[possible, None]) - 1.0) <= MATCH_ATOL
-        )
-    hits = np.flatnonzero(alive.any(axis=1))
-    if not hits.size:
-        raise PatternSearchError("no X/Y measurement pattern realizes the gate")
-    bits = np.unravel_index(hits[0], (2,) * len(measured))
-    p1, p2 = pauli_names[np.argmax(alive[hits[0]])]
-    return MeasurementPattern(
-        steps=tuple((site, _basis("XY"[bit])) for site, bit in zip(measured, bits)),
-        outputs=tuple(outputs),
-        decoding={(0,) * len(measured): (_PAULI_EXPONENTS[p1], _PAULI_EXPONENTS[p2])},
-        postselect_only=True,
-    )
 
 
 # --- wires and single-qubit gates -------------------------------------------

@@ -100,17 +100,12 @@ class OverlapResult:
     mean_fidelity: float
 
     def __post_init__(self) -> None:
-        _overlap_row(self.mean_overlap, self.fidelity_of_mean, self.mean_fidelity)
-
-
-def _overlap_row(mean_overlap: complex, fidelity_of_mean: float, mean_fidelity: float) -> tuple:
-    """The three values as a tuple, once they pass ``OverlapResult``'s range checks."""
-    for name, v in (("fidelity_of_mean", fidelity_of_mean), ("mean_fidelity", mean_fidelity)):
-        if not -RANGE_ATOL <= v <= 1.0 + RANGE_ATOL:
-            raise ValueError(f"{name} = {v} outside [0, 1]")
-    if mean_fidelity < fidelity_of_mean - RANGE_ATOL:
-        raise ValueError("mean fidelity below fidelity of the mean")
-    return mean_overlap, fidelity_of_mean, mean_fidelity
+        for name, v in (("fidelity_of_mean", self.fidelity_of_mean),
+                        ("mean_fidelity", self.mean_fidelity)):
+            if not -RANGE_ATOL <= v <= 1.0 + RANGE_ATOL:
+                raise ValueError(f"{name} = {v} outside [0, 1]")
+        if self.mean_fidelity < self.fidelity_of_mean - RANGE_ATOL:
+            raise ValueError("mean fidelity below fidelity of the mean")
 
 
 def overlap_exact(thetas: Sequence[float]) -> complex:
@@ -142,8 +137,8 @@ def _overlap_rows(
     dists: Sequence[PhaseDistribution], sizes: Sequence[int]
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """``overlap_scan`` as arrays: per size, the mean overlaps, fidelities of the mean and
-    mean fidelities over ``dists``, range-checked as a whole (the first bad entry raises
-    ``_overlap_row``'s message), so the CLI builds no result object."""
+    mean fidelities over ``dists``, range-checked as a whole (the first bad entry is built
+    as an ``OverlapResult``, which raises), so the CLI builds no result object."""
     if any(n < 2 for n in sizes):
         raise ValueError("chain needs at least 2 sites")
     char = np.array([[d.char_value(k) for k in (-1, 0, 1)] for d in dists]).reshape(-1, 3)
@@ -157,10 +152,10 @@ def _overlap_rows(
         if n in sizes:
             overlap, mean_fid = v2.sum(axis=1), v4.sum(axis=1)
             fid, mean, atol = np.abs(overlap) ** 2, mean_fid.real, RANGE_ATOL
-            # _overlap_row's tests; fid >= 0, so a mean below -atol fails the last one
+            # OverlapResult's tests; fid >= 0, so a mean below -atol fails the last one
             ok = (fid <= 1 + atol) & (mean <= 1 + atol) & (mean >= fid - atol)  # NaN fails
             if not ok.all():  # the first bad entry raises its message
-                _overlap_row(*(a[np.argmin(ok)].item() for a in (overlap, fid, mean)))
+                OverlapResult(*(a[np.argmin(ok)].item() for a in (overlap, fid, mean)))
             if not (imag := np.abs(mean_fid.imag)).max(initial=0.0) <= 1e-10:  # NaN fails too
                 raise ValueError(f"mean fidelity has imaginary part {imag.max():.3e}")
             results[n] = overlap, fid, mean

@@ -14,7 +14,6 @@ from noisycluster.cli import (
     ExperimentError,
     ExperimentSpec,
     ResultTable,
-    _format_cell,
     main,
     run_experiment,
 )
@@ -197,14 +196,24 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 
 def test_format_cell():
-    assert _format_cell(True) == "1"
-    assert _format_cell(False) == "0"
-    assert _format_cell(np.int64(7)) == "7"
-    assert _format_cell(0.46627046160406) == "0.466270461604"
-    assert _format_cell(1.0) == "1"
-    assert _format_cell(np.float64(0.46627046160406)) == "0.466270461604"
-    assert _format_cell(2**70) == "1180591620717411303424"
-    assert _format_cell("ghz") == "ghz"
+    # the three cell formats of the row templates, against the per-cell chain
+    cells = [
+        ("%d", True, "1"),
+        ("%d", False, "0"),
+        ("%d", np.int64(7), "7"),
+        ("%.12g", 0.46627046160406, "0.466270461604"),
+        ("%.12g", 1.0, "1"),
+        ("%.12g", np.float64(0.46627046160406), "0.466270461604"),
+        ("%d", 2**70, "1180591620717411303424"),
+        ("%s", "ghz", "ghz"),
+    ]
+    for fmt, value, text in cells:
+        assert written(ResultTable(columns=("a",), template=fmt + "\n", rows=[(value,)])) == (
+            f"a\n{text}\n"
+        )
+        assert legacy_format_cell(value) == text
+    fields = {f for _, template in cli._SCHEMAS.values() for f in template[:-1].split(",")}
+    assert fields == {"%d", "%.12g", "%s"}
 
 
 def legacy_format_cell(value) -> str:
@@ -230,23 +239,26 @@ def written(table):
 
 def test_row_templates_equal_the_per_cell_chain_on_a_hand_made_table():
     rows = [
-        (np.float32(0.1), np.bool_(True), np.int32(-7), 3, "ghz"),
-        (math.nan, np.bool_(False), np.int64(2**40), 2.5, "x,{0}"),
+        (np.float32(0.1), True, np.int32(-7), 3, "ghz"),
+        (math.nan, False, np.int64(2**40), 2.5, "x,{0}"),
         (-0.0, True, 2**70, np.float64(1 / 3), ""),
         (math.inf, False, np.uint8(255), np.int16(-1), "{!r}"),
         (np.float16(-1e-5), 0, -(2**70), -math.inf, np.str_("w")),
     ]
-    table = ResultTable(columns=("a", "b", "c", "d", "e"), rows=rows, metadata={"k": "v"})
+    table = ResultTable(
+        columns=("a", "b", "c", "d", "e"),
+        template="%.12g,%d,%d,%.12g,%s\n",
+        rows=rows,
+        metadata={"k": "v"},
+    )
     assert written(table) == "# k: v\na,b,c,d,e\n" + legacy_rows(table)
-    for row in rows:
-        assert [_format_cell(v) for v in row] == [legacy_format_cell(v) for v in row]
-    assert legacy_rows(table).splitlines()[0] == "0.10000000149,True,-7,3,ghz"
+    assert legacy_rows(table).splitlines()[0] == "0.10000000149,1,-7,3,ghz"
     assert legacy_rows(table).splitlines()[2] == "-0,1,1180591620717411303424,0.333333333333,"
 
 
 def test_long_tables_are_written_whole():
-    rows = [(k, k / 7, "s" if k % 3 else k * 0.5) for k in range(2 * cli._WRITE_BLOCK + 5)]
-    table = ResultTable(columns=("a", "b", "c"), rows=rows)
+    rows = [(k, k / 7, "s" * (k % 3)) for k in range(2 * cli._WRITE_BLOCK + 5)]
+    table = ResultTable(columns=("a", "b", "c"), template="%d,%.12g,%s\n", rows=rows)
     assert written(table) == "a,b,c\n" + legacy_rows(table)
 
 
@@ -262,67 +274,81 @@ def test_row_templates_equal_the_per_cell_chain_on_every_subcommand(tmp_path):
         assert written(table).endswith("\n" + legacy_rows(table))
 
 
+ONE_POINT = cli._parse_grid("0.5:0.5:1")
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("fig-cnot", {"samples": 2}),
+        ("fig-cnot", {"samples": 2, "grid": ONE_POINT}),
+        ("wire-scan", {"sizes": (2, 3, 7), "samples": 2}),
+        ("concurrence-scan", {"n": 2}),
+        ("concurrence-scan", {"grid": ONE_POINT}),
+        ("fig-noise", {"grid": ONE_POINT}),
+        ("fig-dephasing", {"nmax": 3}),
+    ],
+)
+def test_row_templates_equal_the_per_cell_chain_off_the_defaults(kind, params):
+    table = run_experiment(ExperimentSpec(kind=kind, params=params))
+    assert table.rows
+    assert written(table).endswith("\n" + legacy_rows(table))
+
+
+def test_row_template_of_a_failed_stabilizer_check(tmp_path):
+    # README's graph: the noisy edge moves the eigenvalues of sites 2 and 3 off their signs
+    graph = tmp_path / "chain.graph"
+    graph.write_text("site 1\nsite 2\nsite 3\nedge 1 2\nedge 2 3 0.25\nkappa 2 1\n")
+    table = run_experiment(ExperimentSpec(kind="stabilizer-check", params={"graph": str(graph)}))
+    assert written(table).endswith("\n" + legacy_rows(table))
+    assert [row.rsplit(",", 1)[1] for row in legacy_rows(table).splitlines()] == ["1", "0", "0"]
+
+
 def test_result_table_row_width_checked():
     with pytest.raises(ValueError):
-        ResultTable(columns=("a", "b"), rows=[(1,)])
+        ResultTable(columns=("a", "b"), template="%d,%.12g\n", rows=[(1,)])
     # one bad row, too short or too long, at the end of a long table
     rows = [(k, k / 2) for k in range(10**4)]
     for bad in ((9999,), (9999, 1.0, 2.0)):
         rows[9999] = bad
         with pytest.raises(ValueError, match="^row width does not match columns$"):
-            ResultTable(columns=("a", "b"), rows=rows)
+            ResultTable(columns=("a", "b"), template="%d,%.12g\n", rows=rows)
 
 
-def count_row_templates(monkeypatch):
-    """Patch the per-row fallback so a test sees how many rows took it."""
-    calls, row_template = [], cli._row_template
-
-    def counted(types):
-        calls.append(types)
-        return row_template(types)
-
-    monkeypatch.setattr(cli, "_row_template", counted)
-    return calls
-
-
-def test_a_mixed_column_sends_only_its_own_block_row_by_row(monkeypatch):
-    calls = count_row_templates(monkeypatch)
-    block = cli._WRITE_BLOCK
-    rows = [(k, k / 3, "x") for k in range(block)]
-    # the second block's middle column holds one int among its floats
-    rows += [(k, 7 if k == block + 11 else k / 3, "y") for k in range(block, block + 20)]
-    table = ResultTable(columns=("a", "b", "c"), rows=rows)
-    assert written(table) == "a,b,c\n" + legacy_rows(table)
-    assert len(calls) == 20
-    assert written(table).splitlines()[block + 12] == f"{block + 11},7,y"
+def test_result_table_template_fields_match_columns():
+    for template in ("", "%d\n", "%d,%.12g,%s\n"):
+        with pytest.raises(ValueError, match="^row template does not match columns$"):
+            ResultTable(columns=("a", "b"), template=template, rows=[])
+    for columns, template in cli._SCHEMAS.values():
+        assert template.count("%") == len(columns) and template.endswith("\n")
 
 
 @pytest.mark.parametrize(
-    "rows",
+    "template, rows",
     [
-        [(1, 0.5, "a"), (2, 1.5, "b")],  # uniform: one template for the block
-        [(1, 0.5, "a"), (2, 3, "b")],  # mixed: a template per row
-        [(1,), (2,)],  # one column: "%s\n" % [1] would print the list
-        [("x",), ("y",)],
+        ("%d,%.12g,%s\n", [(1, 0.5, "a"), (2, 1.5, "b")]),
+        ("%d,%.12g,%s\n", [(1, 0.5, "a"), (2, 3, "b")]),  # an int in the float column
+        ("%d\n", [(1,), (2,)]),  # one column: "%d\n" % [1] would fail
+        ("%s\n", [("x",), ("y",)]),
     ],
+    ids=[f"rows{k}" for k in range(4)],
 )
-def test_list_rows_and_tuple_rows_give_the_same_bytes(rows):
+def test_list_rows_and_tuple_rows_give_the_same_bytes(template, rows):
     columns = tuple("abc"[: len(rows[0])])
-    as_tuples = written(ResultTable(columns=columns, rows=rows))
-    assert as_tuples == ",".join(columns) + "\n" + legacy_rows(ResultTable(columns, rows))
-    assert written(ResultTable(columns=columns, rows=[list(r) for r in rows])) == as_tuples
+    as_tuples = written(ResultTable(columns=columns, template=template, rows=rows))
+    assert as_tuples == ",".join(columns) + "\n" + legacy_rows(ResultTable(columns, template, rows))
+    lists = [list(r) for r in rows]
+    assert written(ResultTable(columns=columns, template=template, rows=lists)) == as_tuples
 
 
-def test_special_floats_and_wide_ints_in_uniform_columns(monkeypatch):
-    calls = count_row_templates(monkeypatch)
+def test_special_floats_and_wide_ints_in_uniform_columns():
     floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, np.float16(-1e-5), np.float32(0.1),
               np.float64(1 / 3), 1e300, 5e-324]
     ints = [2**70, -(2**70), 0, True, False, np.int64(-7), np.uint64(2**64 - 1), np.int8(-128),
             np.uint8(255), 1]
     rows = list(zip(floats, ints, map(str, range(10))))
-    table = ResultTable(columns=("f", "i", "s"), rows=rows)
+    table = ResultTable(columns=("f", "i", "s"), template="%.12g,%d,%s\n", rows=rows)
     assert written(table) == "f,i,s\n" + legacy_rows(table)
-    assert calls == []
     assert legacy_rows(table).splitlines()[:7] == [
         "nan,1180591620717411303424,0",
         "inf,-1180591620717411303424,1",

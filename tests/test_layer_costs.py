@@ -1,8 +1,9 @@
-"""Smoke tests of tools/layer_costs.py: one per-layer pass into a temporary file, and its
-chain-exact round against the benchmark's."""
+"""Smoke tests of tools/layer_costs.py: one per-layer pass into a temporary file, its
+speed calibration, and its chain-exact round against the benchmark's."""
 
 import importlib.util
 import json
+import os
 import pathlib
 
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "layer_costs.py"
@@ -48,6 +49,21 @@ def test_layer_pass_writes_every_piece(tmp_path, monkeypatch):
     }
     for name, entry in record["layers"].items():
         assert entry["ms"] > 0 and entry["loops"] == 1 and entry["repeat"] == 1, name
+    calibration = record["calibration"]
+    assert set(calibration) == {"ref_s", "before_s", "after_s", "calls"}
+    assert calibration["ref_s"] == layer_costs.bench_run().CALIBRATION_REF_S
+    assert calibration["calls"] == layer_costs.CALIBRATION_CALLS
+    assert calibration["before_s"] > 0 and calibration["after_s"] > 0
+
+
+def test_calibration_keeps_the_recorded_thread_variables(tmp_path, monkeypatch):
+    # bench/run.py sets every BLAS thread variable to 1 when it loads
+    layer_costs = load_tool(monkeypatch)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    out = tmp_path / "bench.json"
+    assert layer_costs.main([str(out), "--repeat", "1", "--budget", "0", "--layers-only"]) == 0
+    assert json.loads(out.read_text())["env"]["threads"]["OMP_NUM_THREADS"] == "3"
+    assert os.environ["OMP_NUM_THREADS"] == "3"
 
 
 def test_chain_exact_round_is_the_benchmark_round(monkeypatch):

@@ -16,7 +16,6 @@ from noisycluster.phasenoise import (
     DEPHASING_FAMILIES,
     OverlapResult,
     PhaseDistribution,
-    _overlap_row,
     _overlap_rows,
     _seeded_rows,
     dephasing_fidelity,
@@ -363,7 +362,7 @@ class CharStub:
     ],
 )
 def test_overlap_rows_check_every_row(at, stub, message):
-    # one bad distribution anywhere in the grid fails the sweep, with _overlap_row's message
+    # one bad distribution anywhere in the grid fails the sweep, with OverlapResult's message
     # when a value is out of range
     dists = SCAN_DISTS[:at] + [stub] + SCAN_DISTS[at:]
     for scan in (_overlap_rows, overlap_scan):
@@ -434,8 +433,8 @@ def test_fig_noise_table_matches_matrix_power_oracle():
     ]
     table = cli.run_experiment(cli.ExperimentSpec("fig-noise", {}))
     expect, got = io.StringIO(), io.StringIO()
-    cli.ResultTable(table.columns, oracle).write(expect, with_timestamp=False)
-    cli.ResultTable(table.columns, table.rows).write(got, with_timestamp=False)
+    cli.ResultTable(table.columns, table.template, oracle).write(expect, with_timestamp=False)
+    cli.ResultTable(table.columns, table.template, table.rows).write(got, with_timestamp=False)
     assert got.getvalue() == expect.getvalue()
 
 
@@ -444,17 +443,15 @@ def test_overlap_result_validation():
         OverlapResult(0.0, 1.5, 1.6)
     with pytest.raises(ValueError, match="below"):
         OverlapResult(0.0, 0.9, 0.2)
-    # the table path runs the same checks, with the same messages
+    # the messages the table path raises through its first bad entry
     for fidelity_of_mean, mean_fidelity, message in (
         (1.5, 1.6, "fidelity_of_mean = 1.5 outside"),
         (0.5, -0.1, "mean_fidelity = -0.1 outside"),
         (math.nan, 0.5, "fidelity_of_mean = nan outside"),
         (0.9, 0.2, "below"),
     ):
-        for make in (_overlap_row, OverlapResult):
-            with pytest.raises(ValueError, match=message):
-                make(0.0, fidelity_of_mean, mean_fidelity)
-    assert _overlap_row(0.5j, 0.25, 0.5) == (0.5j, 0.25, 0.5)
+        with pytest.raises(ValueError, match=message):
+            OverlapResult(0.0, fidelity_of_mean, mean_fidelity)
 
 
 # --- dephasing fidelities ---

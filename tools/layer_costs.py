@@ -10,8 +10,12 @@ recorded. The Monte Carlo pieces are reported per sample, from calls of
 subcommand at its defaults (``--no-meta``, output discarded) ``--repeat``
 times in a fresh interpreter and records its wall and CPU time. The file
 also records the CPU count, the numpy and BLAS versions and the BLAS thread
-variables. Only the standard library and the package's own dependencies are
-used; a piece the imported package does not have is recorded as null.
+variables, and the median of ``CALIBRATION_CALLS`` calls of the benchmark's
+``calibration_s`` (``bench/run.py``) just before and just after the layer
+pass, with its reference time ``CALIBRATION_REF_S``: the layer times of two
+files compare only as far as these agree. Only the standard library and the
+package's own dependencies are used; a piece the imported package does not
+have is recorded as null.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ for _var in THREAD_VARS:
 
 import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -36,7 +41,8 @@ import sys
 import tempfile
 import time
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
@@ -44,6 +50,7 @@ import numpy as np  # noqa: E402
 from noisycluster import cli, clusters, entanglement, oneway, phasenoise, states  # noqa: E402
 
 MC_SAMPLES = 200
+CALIBRATION_CALLS = 5
 CLI_CALL = "import sys; from noisycluster.cli import main; sys.exit(main(sys.argv[1:]))"
 # README's example graph: 3-site chain, one flipped correlation sign, one noisy edge
 GRAPH = "site 1\nsite 2\nsite 3\nedge 1 2\nedge 2 3 0.25\nkappa 2 1\n"
@@ -160,6 +167,24 @@ def time_call(fn, per_call: int, repeat: int, budget: float) -> dict:
     return {"ms": statistics.median(runs), "min_ms": min(runs), "loops": loops, "repeat": repeat}
 
 
+def bench_run():
+    """``bench/run.py`` as a module. Loading it pins the BLAS thread variables; they are
+    put back as they were, so the file records the threads this process runs with."""
+    saved = {var: os.environ[var] for var in THREAD_VARS}
+    path = os.path.join(ROOT, "bench", "run.py")
+    spec = importlib.util.spec_from_file_location("bench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        os.environ.update(saved)
+    return module
+
+
+def calibration_s(run) -> float:
+    return statistics.median(run.calibration_s() for _ in range(CALIBRATION_CALLS))
+
+
 def layer_pass(repeat: int, budget: float) -> dict:
     out = {}
     for name, (what, per_call, fn) in pieces().items():
@@ -212,7 +237,15 @@ def main(argv: list[str] | None = None) -> int:
     record = {
         "env": environment(),
         "settings": {"repeat": args.repeat, "budget_s": args.budget, "mc_samples": MC_SAMPLES},
-        "layers": layer_pass(args.repeat, args.budget),
+    }
+    run = bench_run()
+    before = calibration_s(run)
+    record["layers"] = layer_pass(args.repeat, args.budget)
+    record["calibration"] = {
+        "ref_s": run.CALIBRATION_REF_S,
+        "before_s": before,
+        "after_s": calibration_s(run),
+        "calls": CALIBRATION_CALLS,
     }
     if not args.layers_only:
         record["processes"] = process_pass(args.repeat)
