@@ -261,6 +261,8 @@ def _parse_grid(text: str) -> np.ndarray:
     try:
         start, stop, steps = text.split(":")
         start, stop, steps = float(start), float(stop), int(steps)
+        if steps < 1:
+            raise argparse.ArgumentTypeError(f"grid needs at least 1 step, got {text!r}")
         if steps > _MAX_SCAN_ROWS:
             # every table has at least one row per grid point: refuse before allocating
             raise argparse.ArgumentTypeError(
@@ -269,9 +271,7 @@ def _parse_grid(text: str) -> np.ndarray:
         if math.isfinite(start) and math.isfinite(stop):
             return np.linspace(start, stop, steps)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"grid must be start:stop:steps, got {text!r}"
-        ) from exc
+        raise argparse.ArgumentTypeError(f"grid must be start:stop:steps, got {text!r}") from exc
     raise argparse.ArgumentTypeError(f"grid endpoints must be finite, got {text!r}")
 
 

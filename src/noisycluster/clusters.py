@@ -130,12 +130,9 @@ def chain_graph(n: int, thetas: Sequence[float] | None = None) -> ClusterGraph:
     if n < 1:
         raise ValueError("chain needs at least one site")
     edges = [(j, j + 1) for j in range(1, n)]
-    if thetas is None:
-        theta = {}
-    else:
-        if len(thetas) != n - 1:
-            raise ValueError(f"expected {n - 1} thetas, got {len(thetas)}")
-        theta = {e: float(t) for e, t in zip(edges, thetas)}
+    if thetas is not None and len(thetas) != n - 1:
+        raise ValueError(f"expected {n - 1} thetas, got {len(thetas)}")
+    theta = {} if thetas is None else {e: float(t) for e, t in zip(edges, thetas)}
     return ClusterGraph(tuple(range(1, n + 1)), tuple(edges), {}, theta)
 
 
@@ -445,35 +442,34 @@ def parse_graph(text: str) -> ClusterGraph:
 
     ``site <label>``, ``edge <a> <b> [theta]``, ``kappa <site> <0|1>``;
     ``#`` starts a comment. Sites appear in declaration order, which fixes
-    the register layout.
+    the register layout. A pair takes one ``edge`` line, and a ``kappa`` line
+    must follow its site's ``site`` line.
     """
     sites: list[int] = []
-    edges: list[tuple[int, int]] = []
+    edges: dict[tuple[int, int], float] = {}
     kappa: dict[int, int] = {}
-    theta: dict[tuple[int, int], float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        kind = parts[0]
+        kind, *args = line.split()
         try:
-            if kind == "site" and len(parts) == 2:
-                sites.append(int(parts[1]))
-            elif kind == "edge" and len(parts) in (3, 4):
-                e = _normalize_edge(int(parts[1]), int(parts[2]))
-                edges.append(e)
-                if len(parts) == 4:
-                    theta[e] = float(parts[3])
-                    if not math.isfinite(theta[e]):
-                        raise ValueError
-            elif kind == "kappa" and len(parts) == 3:
-                kappa[int(parts[1])] = int(parts[2])
+            if kind == "site" and len(args) == 1:
+                sites.append(int(args[0]))
+            elif kind == "edge" and len(args) in (2, 3):
+                e = _normalize_edge(int(args[0]), int(args[1]))
+                if e in edges:
+                    raise ValueError
+                edges[e] = float(args[2]) if len(args) == 3 else 0.0
+                if not math.isfinite(edges[e]):
+                    raise ValueError
+            elif kind == "kappa" and len(args) == 2 and int(args[0]) in sites:
+                kappa[int(args[0])] = int(args[1])
             else:
                 raise ValueError
         except ValueError:
             raise ValueError(f"bad graph line {lineno}: {raw!r}") from None
-    return ClusterGraph(tuple(sites), tuple(edges), kappa, theta)
+    return ClusterGraph(tuple(sites), tuple(edges), kappa, edges)
 
 
 def format_graph(graph: ClusterGraph) -> str:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .phasenoise import PAIR_SIGN, PhaseDistribution, _PAIR_CHAR_INDEX, _seeded_rows, pair_transfer
+from .phasenoise import PhaseDistribution, _char_rows, _edge_tables, _seeded_rows
 from .states import DensityMatrix, PAULI_Y, _check_hermitian_unit_trace, _check_psd
 
 ENTANGLEMENT_TOL = 1e-9
@@ -105,8 +105,8 @@ def averaged_pair_state(
     """
     _check_pair(n, pair)
     m, reps, (k,) = _pair_classes(n, [pair])
-    transfers = [[_doubled_transfer(dist)] * (m - 1)]
-    return DensityMatrix(2, _pair_states(m, transfers, [reps[k]])[0, 0])
+    chain = np.broadcast_to(_edge_tables(_char_rows([dist]), "doubled"), (1, m - 1, 4, 4))
+    return DensityMatrix(2, _pair_states(m, chain, [reps[k]])[0, 0])
 
 
 def _pair_classes(
@@ -127,11 +127,6 @@ def _pair_classes(
         reps.setdefault((i == 1, j == m, min(j - i, 3)), (i, j))
     ids = {key: k for k, key in enumerate(reps)}
     return m, list(reps.values()), [ids[i == 1, j == n, min(j - i, 3)] for i, j in pairs]
-
-
-def _doubled_transfer(dist: PhaseDistribution) -> np.ndarray:
-    """Edge transfer matrix over (z_k, z_k') -> (z_{k+1}, z_{k+1}')."""
-    return pair_transfer(dist) * PAIR_SIGN
 
 
 def _pair_states(
@@ -191,8 +186,9 @@ def _pair_grid(n: int, dists: Sequence[PhaseDistribution]) -> tuple[list, list, 
     m, reps, index = _pair_classes(n, pairs)
     per_block = max(1, _GRID_BLOCK // len(reps))
     concurrences, ppt = [], []
-    for start in range(0, len(dists), per_block):
-        block = [[_doubled_transfer(d)] * (m - 1) for d in dists[start : start + per_block]]
+    for s in range(0, len(dists), per_block):
+        table = np.ascontiguousarray(_edge_tables(_char_rows(dists[s : s + per_block]), "doubled"))
+        block = np.broadcast_to(table[:, None], (len(table), m - 1, 4, 4))
         states = _pair_states(m, block, reps).reshape(-1, 4, 4)
         _check_hermitian_unit_trace(states)  # before LAPACK: NaN must not reach eigh
         w, v = np.linalg.eigh(states)
@@ -240,7 +236,6 @@ def sampled_mean_concurrence(
         raise ValueError("need at least one sample")
     total = 0.0
     for row in _seeded_rows(dist, n - 1, n_samples, seed):
-        char = np.exp(1j * np.multiply.outer(row, (-1, 0, 1)))  # e^{i k theta}, k = -1, 0, 1
-        transfers = char[:, _PAIR_CHAR_INDEX] * PAIR_SIGN
+        transfers = _edge_tables(np.exp(1j * np.multiply.outer(row, (-1, 0, 1))), "doubled")
         total += concurrence(DensityMatrix(2, _pair_states(n, transfers[None], [pair])[0, 0]))
     return total / n_samples

@@ -108,29 +108,37 @@ class OverlapResult:
             raise ValueError("mean fidelity below fidelity of the mean")
 
 
+# Bit pairs (z, z') at index 2z + z'. From (p, q) to (r, s) an edge contributes
+# char(k), k = pr - qs; the doubled chain density matrix adds the sign (-1)^{pr+qs},
+# which is (-1)^k: its gate phase is -e^{i theta}.
+_Z, _Z2 = np.array([[0, 0], [0, 1], [1, 0], [1, 1]]).T
+_PAIR_CHAR_INDEX = np.outer(_Z, _Z) - np.outer(_Z2, _Z2) + 1
+
+
+def _char_rows(dists: Sequence[PhaseDistribution]) -> np.ndarray:
+    """Rows (E[e^{-i theta}], 1, E[e^{i theta}]), one per distribution."""
+    return np.array([[d.char_value(k) for k in (-1, 0, 1)] for d in dists]).reshape(-1, 3)
+
+
+def _edge_tables(char: np.ndarray, kind: str) -> np.ndarray:
+    """Edge table per characteristic row (E[e^{-i theta}], 1, E[e^{i theta}]) of ``char``:
+    2x2 over z ("overlap"), 4x4 over (z, z') ("pair"), or that signed for the doubled chain.
+    The layout is fancy indexing's, not C order; matmul rounds and runs differently on each."""
+    if kind == "overlap":
+        return char[..., [[1, 1], [1, 2]]]
+    return (char * (-1, 1, -1) if kind == "doubled" else char)[..., _PAIR_CHAR_INDEX]
+
+
 def overlap_exact(thetas: Sequence[float]) -> complex:
     """f_N for explicit per-edge deviations (chain of len(thetas)+1 sites)."""
     n = len(thetas) + 1
     if n < 2:
         raise ValueError("need at least one edge")
-    u = np.ones(2, dtype=complex)
-    v = u.copy()
-    for t in thetas:
-        m = np.array([[1.0, 1.0], [1.0, np.exp(1j * t)]], dtype=complex)
+    char = np.exp(1j * np.multiply.outer(thetas, (-1, 0, 1)))
+    u = v = np.ones(2, dtype=complex)
+    for m in np.ascontiguousarray(_edge_tables(char, "overlap")):
         v = m.T @ v  # left-to-right product u^T M_1 ... M_j
     return complex(u @ v) / 2.0**n
-
-
-# Bit pairs (z, z') at index 2z + z'. From (p, q) to (r, s) an edge contributes
-# char(pr - qs); the doubled chain density matrix adds the sign (-1)^{pr+qs}.
-_Z, _Z2 = np.array([[0, 0], [0, 1], [1, 0], [1, 1]]).T
-_PAIR_CHAR_INDEX = np.outer(_Z, _Z) - np.outer(_Z2, _Z2) + 1
-PAIR_SIGN = (-1.0) ** (np.outer(_Z, _Z) + np.outer(_Z2, _Z2))
-
-
-def pair_transfer(dist: PhaseDistribution) -> np.ndarray:
-    """4x4 transfer matrix for E|f|^2 over bit pairs (z, z')."""
-    return np.array([dist.char_value(k) for k in (-1, 0, 1)])[_PAIR_CHAR_INDEX]
 
 
 def _overlap_rows(
@@ -141,8 +149,8 @@ def _overlap_rows(
     as an ``OverlapResult``, which raises), so the CLI builds no result object."""
     if any(n < 2 for n in sizes):
         raise ValueError("chain needs at least 2 sites")
-    char = np.array([[d.char_value(k) for k in (-1, 0, 1)] for d in dists]).reshape(-1, 3)
-    step2, step4 = 0.5 * char[:, [[1, 1], [1, 2]]], 0.25 * char[:, _PAIR_CHAR_INDEX]
+    char = _char_rows(dists)
+    step2, step4 = 0.5 * _edge_tables(char, "overlap"), 0.25 * _edge_tables(char, "pair")
     v2, v4 = np.full((len(char), 2), 0.5 + 0j), np.full((len(char), 4), 0.25 + 0j)  # 1 site
     results = {}
     for n in range(2, max(sizes, default=1) + 1):

@@ -62,10 +62,16 @@ def test_exit_two_for_runtime_errors(tmp_path, capsys):
     bad_graph.write_text("site 1\nnonsense here\n")
     nan_graph = tmp_path / "nan.graph"
     nan_graph.write_text("site 1\nsite 2\nedge 1 2 nan\n")
+    kappa_graph = tmp_path / "kappa.graph"
+    kappa_graph.write_text("site 1\nsite 2\nedge 1 2\nkappa 5 1\n")
+    twice_graph = tmp_path / "twice.graph"
+    twice_graph.write_text("site 1\nsite 2\nedge 1 2 0.1\nedge 2 1 0.3\n")
     cases = (
         ("stabilizer-check", "--graph", str(tmp_path / "missing.graph")),
         ("stabilizer-check", "--graph", str(bad_graph)),
         ("stabilizer-check", "--graph", str(nan_graph)),
+        ("stabilizer-check", "--graph", str(kappa_graph)),
+        ("stabilizer-check", "--graph", str(twice_graph)),
         ("fig-dephasing", "--gamma", "nan"),
         ("wire-scan", "--sigma", "nan", "--sizes", "3"),
         # draws overflow to inf; math.cos used to fail with a bare "math domain error"
@@ -532,6 +538,18 @@ def test_grid_step_count_is_refused_before_the_grid_is_built(capsys, monkeypatch
         assert code == 1, steps
         assert f"grid of {steps} steps exceeds the {cli._MAX_SCAN_ROWS}-row table limit" in err
         assert out == "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["fig-noise", "fig-cnot", "concurrence-scan"])
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_grid_of_no_steps_is_a_usage_error(capsys, monkeypatch, command, steps):
+    def no_linspace(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(np, "linspace", no_linspace)
+    code, out, err = run_cli(capsys, command, "--grid", f"0:1:{steps}")
+    assert code == 1 and out == ""
+    assert err.endswith(f"error: argument --grid: grid needs at least 1 step, got '0:1:{steps}'\n")
 
 
 def test_grid_step_limit_is_inclusive(monkeypatch):

@@ -424,6 +424,25 @@ def test_parse_graph_rejects_malformed(line):
         parse_graph(line + "\n")
 
 
+def test_parse_graph_rejects_kappa_of_an_undeclared_site():
+    # ClusterGraph keeps kappa only for its sites: the line would vanish unseen
+    with pytest.raises(ValueError, match=r"bad graph line 4: 'kappa 5 1'"):
+        parse_graph("site 1\nsite 2\nsite 3\nkappa 5 1\nedge 1 2\n")
+    # a kappa line follows its site's declaration; edges may come before their sites
+    with pytest.raises(ValueError, match=r"bad graph line 1: 'kappa 2 1'"):
+        parse_graph("kappa 2 1\nsite 1\nsite 2\n")
+    assert parse_graph("edge 1 2\nsite 1\nsite 2\nkappa 2 1\n").kappa == {1: 0, 2: 1}
+
+
+def test_parse_graph_rejects_a_second_edge_line_for_one_pair():
+    # a second line would override the first theta unseen
+    for second in ("edge 2 1 0.3", "edge 1 2 0.1", "edge 1 2"):
+        with pytest.raises(ValueError, match=f"bad graph line 4: '{second}'"):
+            parse_graph(f"site 1\nsite 2\nedge 1 2 0.1\n{second}\n")
+    g = parse_graph("site 1\nsite 2\nsite 3\nedge 2 1 0.1\nedge 2 3\n")
+    assert g.edge_theta == {(1, 2): 0.1, (2, 3): 0.0}
+
+
 def test_load_graph(tmp_path):
     path = tmp_path / "chain.graph"
     path.write_text(format_graph(chain_graph(3, [0.0, 0.1])), encoding="utf-8")

@@ -15,7 +15,6 @@ from noisycluster.clusters import build_cluster, chain_graph
 from noisycluster.entanglement import (
     _GRID_BLOCK,
     PairAnalysis,
-    _doubled_transfer,
     _pair_classes,
     _pair_grid,
     _pair_states,
@@ -26,7 +25,7 @@ from noisycluster.entanglement import (
     ppt_min_eigenvalue,
     sampled_mean_concurrence,
 )
-from noisycluster.phasenoise import PhaseDistribution, pair_transfer
+from noisycluster.phasenoise import PhaseDistribution, _char_rows, _edge_tables
 from noisycluster.states import (
     DensityMatrix,
     PureState,
@@ -63,8 +62,8 @@ def char_table(dist, signed):
     """The edge transfer entry by entry: char(pr - qs), times (-1)^{pr+qs} if signed."""
     t = np.empty((4, 4), dtype=complex)
     for p, q, r, s in itertools.product((0, 1), repeat=4):
-        sign = (-1.0) ** (p * r + q * s) if signed else 1.0
-        t[2 * p + q, 2 * r + s] = sign * dist.char_value(p * r - q * s)
+        value = dist.char_value(p * r - q * s)  # unsigned: no product, so -0.0 stays
+        t[2 * p + q, 2 * r + s] = (-1.0) ** (p * r + q * s) * value if signed else value
     return t
 
 
@@ -235,12 +234,31 @@ def test_pair_scan_rejects_short_chains():
 
 
 def test_transfer_tables_match_char_values():
-    dists = [PhaseDistribution.flat(w) for w in (0.0, 1.3, 5.0)]
-    dists += [PhaseDistribution.gaussian(s) for s in (0.0, 0.4, 2.0)]
-    dists += [PhaseDistribution.fixed(t) for t in (0.0, 0.7, -2.9, math.pi)]
-    for d in dists:
-        assert np.array_equal(pair_transfer(d), char_table(d, signed=False))
-        assert np.array_equal(_doubled_transfer(d), char_table(d, signed=True))
+    # the phasenoise builder's tables, one row per distribution, against the entry loop
+    dists = [PhaseDistribution.flat(w) for w in (0.0, 2.0 * math.pi, 4.0 * math.pi, 1e6)]
+    dists += [PhaseDistribution.gaussian(s) for s in (0.0, 0.5, 40.0, 1e3)]
+    dists += [PhaseDistribution.fixed(t) for t in (0.0, -0.0, math.pi, 0.3)]
+    char = _char_rows(dists)
+    assert char.shape == (len(dists), 3)
+    for kind, signed in (("pair", False), ("doubled", True)):
+        tables = _edge_tables(char, kind)
+        assert tables.shape == (len(dists), 4, 4)
+        for d, table in zip(dists, tables):
+            assert table.tobytes() == char_table(d, signed).tobytes(), (kind, d)
+            assert _edge_tables(_char_rows([d]), kind)[0].tobytes() == table.tobytes()
+
+
+def test_pair_states_on_a_broadcast_view_equal_the_list_form():
+    # uniform chains pass one table per chain, broadcast read-only along the chain
+    dists = [PhaseDistribution.gaussian(0.5), PhaseDistribution.flat(2.5)]
+    dists += [PhaseDistribution.fixed(2.0), PhaseDistribution.gaussian(0.0)]
+    raw = _edge_tables(_char_rows(dists), "doubled")
+    for m, tables in itertools.product(range(2, 7), (raw, np.ascontiguousarray(raw))):
+        view = np.broadcast_to(tables[:, None], (len(dists), m - 1, 4, 4))
+        assert not view.flags.writeable
+        pairs = list(itertools.combinations(range(1, m + 1), 2))
+        listed = [[char_table(d, signed=True)] * (m - 1) for d in dists]
+        assert _pair_states(m, view, pairs).tobytes() == _pair_states(m, listed, pairs).tobytes()
 
 
 def test_pair_states_match_the_walk_per_edge():
@@ -400,7 +418,7 @@ def pair_grid_per_state(n, dists):
     per_block = max(1, _GRID_BLOCK // len(pairs))
     concurrences, ppt = [], []
     for start in range(0, len(dists), per_block):
-        block = [[_doubled_transfer(d)] * (n - 1) for d in dists[start : start + per_block]]
+        block = [[char_table(d, signed=True)] * (n - 1) for d in dists[start : start + per_block]]
         states = _pair_states(n, block, pairs).reshape(-1, 4, 4)
         _check_hermitian_unit_trace(states)
         w, v = np.linalg.eigh(states)
@@ -457,7 +475,7 @@ def test_pair_classes_place_every_pair_on_a_short_chain():
 
 
 def full_chain_bits(n, dist, pairs):
-    states = _pair_states(n, [[_doubled_transfer(dist)] * (n - 1)], pairs)[0]
+    states = _pair_states(n, [[char_table(dist, signed=True)] * (n - 1)], pairs)[0]
     return [s.tobytes() for s in states]
 
 
@@ -562,7 +580,7 @@ def test_sampled_mean_concurrence_equals_per_edge_transfers_bit_for_bit():
         for k in range(12):
             rng = np.random.default_rng(np.random.SeedSequence(9, spawn_key=(k,)))
             transfers = [
-                _doubled_transfer(PhaseDistribution.fixed(t)) for t in dist.sample(rng, n - 1)
+                char_table(PhaseDistribution.fixed(t), signed=True) for t in dist.sample(rng, n - 1)
             ]
             total += concurrence(DensityMatrix(2, _pair_states(n, [transfers], [pair])[0, 0]))
         assert sampled_mean_concurrence(n, dist, pair, 12, seed=9) == total / 12

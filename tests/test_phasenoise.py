@@ -16,13 +16,14 @@ from noisycluster.phasenoise import (
     DEPHASING_FAMILIES,
     OverlapResult,
     PhaseDistribution,
+    _char_rows,
+    _edge_tables,
     _overlap_rows,
     _seeded_rows,
     dephasing_fidelity,
     overlap_avg,
     overlap_exact,
     overlap_scan,
-    pair_transfer,
 )
 from noisycluster.states import (
     DephasingChannel,
@@ -106,7 +107,8 @@ def test_char_value_gaussian_does_not_overflow(sigma):
         sigma**2
     d = PhaseDistribution.gaussian(sigma)
     assert [repr(d.char_value(k)) for k in (-2, -1, 0, 1, 2)] == ["0j", "0j", "(1+0j)", "0j", "0j"]
-    assert np.array_equal(pair_transfer(d), pair_transfer(PhaseDistribution.gaussian(100.0)))
+    wide = _char_rows([d, PhaseDistribution.gaussian(100.0)])
+    assert np.array_equal(*_edge_tables(wide, "pair"))
 
 
 @pytest.mark.parametrize(
@@ -212,6 +214,34 @@ def test_overlap_exact_zero_noise():
     assert overlap_exact([0.0] * 5) == pytest.approx(1.0)
 
 
+def overlap_exact_per_edge(thetas):
+    """The per-edge loop overlap_exact ran before its tables came from the phasenoise
+    builder: one 2x2 matrix built per phase."""
+    u = np.ones(2, dtype=complex)
+    v = u.copy()
+    for t in thetas:
+        m = np.array([[1.0, 1.0], [1.0, np.exp(1j * t)]], dtype=complex)
+        v = m.T @ v
+    return complex(u @ v) / 2.0 ** (len(thetas) + 1)
+
+
+def test_overlap_exact_equals_the_per_edge_loop_bit_for_bit():
+    rng = np.random.default_rng(SEED + 5)
+    for n in range(2, 41):
+        for scale in (0.05, 1.0, 30.0):
+            thetas = rng.normal(0.0, scale, size=n - 1)
+            for given in (thetas, thetas.tolist()):
+                assert repr(overlap_exact(given)) == repr(overlap_exact_per_edge(given)), n
+    assert repr(overlap_exact([-0.0, math.pi])) == repr(overlap_exact_per_edge([-0.0, math.pi]))
+
+
+def test_overlap_tables_match_char_values():
+    dists = [PhaseDistribution.flat(2.0), PhaseDistribution.gaussian(0.5)]
+    dists += [PhaseDistribution.fixed(0.3)]
+    for d, table in zip(dists, _edge_tables(_char_rows(dists), "overlap")):
+        assert table.tolist() == [[1.0, 1.0], [1.0, d.char_value(1)]]
+
+
 def test_overlap_exact_needs_an_edge():
     with pytest.raises(ValueError, match="at least one edge"):
         overlap_exact([])
@@ -283,7 +313,8 @@ def overlap_avg_matrix_power(dist, n):
     m = np.array([[1.0, 1.0], [1.0, dist.char_value(1)]], dtype=complex)
     u2, u4 = np.ones(2), np.ones(4)
     mean_overlap = complex(u2 @ np.linalg.matrix_power(m, n - 1) @ u2) / 2.0**n
-    mean_fid = complex(u4 @ np.linalg.matrix_power(pair_transfer(dist), n - 1) @ u4) / 4.0**n
+    pair = _edge_tables(_char_rows([dist]), "pair")[0]
+    mean_fid = complex(u4 @ np.linalg.matrix_power(pair, n - 1) @ u4) / 4.0**n
     return OverlapResult(mean_overlap, abs(mean_overlap) ** 2, mean_fid.real)
 
 

@@ -10,7 +10,8 @@ recorded. The Monte Carlo pieces are reported per sample, from calls of
 subcommand at its defaults (``--no-meta``, output discarded) ``--repeat``
 times in a fresh interpreter and records its wall and CPU time. The file
 also records the CPU count, the numpy and BLAS versions and the BLAS thread
-variables, and the median of ``CALIBRATION_CALLS`` calls of the benchmark's
+variables, as the benchmark's ``environment()`` (``bench/run.py``) reports them,
+and the median of ``CALIBRATION_CALLS`` calls of the benchmark's
 ``calibration_s`` (``bench/run.py``) just before and just after the layer
 pass, with its reference time ``CALIBRATION_REF_S``: the layer times of two
 files compare only as far as these agree. Only the standard library and the
@@ -33,7 +34,6 @@ import importlib.util
 import io
 import json
 import math
-import platform
 import resource
 import statistics
 import subprocess
@@ -70,23 +70,6 @@ CHAIN_EXACT = (
     ("concurrence-scan", "--n", "10"),
     ("fig-dephasing", "--nmax", "32"),
 )
-
-
-def environment() -> dict:
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas_name = f"{blas['name']} {blas.get('version', '')}".strip()
-    except (TypeError, KeyError):
-        blas_name = "unknown"
-    return {
-        "nproc": os.cpu_count(),
-        "cpus_usable": len(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas": blas_name,
-        "threads": {v: os.environ.get(v) for v in THREAD_VARS},
-        "machine": platform.machine(),
-    }
 
 
 def pieces() -> dict:
@@ -234,11 +217,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
+    run = bench_run()
     record = {
-        "env": environment(),
+        "env": run.environment(),  # after bench_run has put the thread variables back
         "settings": {"repeat": args.repeat, "budget_s": args.budget, "mc_samples": MC_SAMPLES},
     }
-    run = bench_run()
     before = calibration_s(run)
     record["layers"] = layer_pass(args.repeat, args.budget)
     record["calibration"] = {
