@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Any, Mapping, Sequence, TextIO
+from typing import Any, Mapping, NoReturn, Sequence, TextIO
 
 import numpy as np
 
@@ -32,31 +32,8 @@ from .phasenoise import PhaseDistribution, _overlap_rows, dephasing_fidelity
 from .phasenoise import overlap_avg  # noqa: F401
 from .states import InputQubit
 
-EXPERIMENT_KINDS = (
-    "fig-noise",
-    "fig-dephasing",
-    "fig-cnot",
-    "concurrence-scan",
-    "wire-scan",
-    "stabilizer-check",
-)
-
 # Fig 2(c) input amplitudes: control and target both a = 0.5, b = sqrt(0.75)
 CNOT_INPUT = InputQubit(0.5, math.sqrt(0.75))
-
-# columns and printf row template of each table: floats at 12 significant digits,
-# ints and bools as integers (bools as 1 and 0), strings as they are
-_SCHEMAS = {
-    "fig-noise": (("N", "lambda", "fidelity_of_mean", "mean_fidelity"), "%d,%.12g,%.12g,%.12g\n"),
-    "fig-dephasing": (("family", "N", "gamma", "fidelity"), "%s,%d,%.12g,%.12g\n"),
-    "fig-cnot": (("config", "sigma", "mean", "stderr", "n_samples"), "%s,%.12g,%.12g,%.12g,%d\n"),
-    "concurrence-scan": (
-        ("N", "sigma", "i", "j", "concurrence", "ppt_min_eig"),
-        "%d,%.12g,%d,%d,%.12g,%.12g\n",
-    ),
-    "wire-scan": (("N", "sigma", "mean", "stderr"), "%d,%.12g,%.12g,%.12g\n"),
-    "stabilizer-check": (("site", "eigenvalue", "expected", "ok"), "%d,%.12g,%.12g,%d\n"),
-}
 
 # rows per joined write: a long table is never held a second time as one string
 _WRITE_BLOCK = 4096
@@ -77,7 +54,6 @@ class ExperimentError(RuntimeError):
 class ExperimentSpec:
     kind: str
     params: Mapping[str, Any]
-    output_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
@@ -220,23 +196,47 @@ def _run_stabilizer_check(params: Mapping[str, Any]) -> list[tuple]:
     return rows
 
 
-_RUNNERS = {
-    "fig-noise": _run_fig_noise,
-    "fig-dephasing": _run_fig_dephasing,
-    "fig-cnot": _run_fig_cnot,
-    "concurrence-scan": _run_concurrence_scan,
-    "wire-scan": _run_wire_scan,
-    "stabilizer-check": _run_stabilizer_check,
+# each subcommand's runner, columns and printf row template: floats at 12 significant
+# digits, ints and bools as integers (bools as 1 and 0), strings as they are
+_SUBCOMMANDS = {
+    "fig-noise": (
+        _run_fig_noise,
+        ("N", "lambda", "fidelity_of_mean", "mean_fidelity"),
+        "%d,%.12g,%.12g,%.12g\n",
+    ),
+    "fig-dephasing": (
+        _run_fig_dephasing,
+        ("family", "N", "gamma", "fidelity"),
+        "%s,%d,%.12g,%.12g\n",
+    ),
+    "fig-cnot": (
+        _run_fig_cnot,
+        ("config", "sigma", "mean", "stderr", "n_samples"),
+        "%s,%.12g,%.12g,%.12g,%d\n",
+    ),
+    "concurrence-scan": (
+        _run_concurrence_scan,
+        ("N", "sigma", "i", "j", "concurrence", "ppt_min_eig"),
+        "%d,%.12g,%d,%d,%.12g,%.12g\n",
+    ),
+    "wire-scan": (_run_wire_scan, ("N", "sigma", "mean", "stderr"), "%d,%.12g,%.12g,%.12g\n"),
+    "stabilizer-check": (
+        _run_stabilizer_check,
+        ("site", "eigenvalue", "expected", "ok"),
+        "%d,%.12g,%.12g,%d\n",
+    ),
 }
+
+EXPERIMENT_KINDS = tuple(_SUBCOMMANDS)
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
-    rows = _RUNNERS[spec.kind](spec.params)
+    runner, columns, template = _SUBCOMMANDS[spec.kind]
+    rows = runner(spec.params)
     meta = {"experiment": spec.kind, "version": f"noisycluster {__version__}"}
     for key in ("seed", "samples", "gamma", "sigma", "n", "nmax", "graph"):
         if key in spec.params:
             meta[key] = str(spec.params[key])
-    columns, template = _SCHEMAS[spec.kind]
     return ResultTable(columns=columns, template=template, rows=rows, metadata=meta)
 
 
@@ -246,15 +246,10 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
 class _Parser(argparse.ArgumentParser):
     """argparse maps usage errors to exit code 2; the contract here is 1."""
 
-    def error(self, message: str) -> None:  # noqa: D401
+    def error(self, message: str) -> NoReturn:
         self.print_usage(sys.stderr)
-        raise SystemExit_(1, f"{self.prog}: error: {message}")
-
-
-class SystemExit_(SystemExit):
-    def __init__(self, code: int, message: str | None = None):
-        super().__init__(code)
-        self.message = message
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise SystemExit(1)
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -342,7 +337,7 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     for key in ("grid", "gamma", "nmax", "samples", "n", "sigma", "sizes", "graph"):
         if hasattr(args, key) and getattr(args, key) is not None:
             params[key] = getattr(args, key)
-    return ExperimentSpec(kind=args.command, params=params, output_path=args.out)
+    return ExperimentSpec(kind=args.command, params=params)
 
 
 _cached_parser = functools.lru_cache(maxsize=1)(build_parser)
@@ -351,18 +346,13 @@ _cached_parser = functools.lru_cache(maxsize=1)(build_parser)
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _cached_parser().parse_args(argv)
-    except SystemExit_ as exc:
-        if exc.message:
-            print(exc.message, file=sys.stderr)
-        return exc.code if isinstance(exc.code, int) else 1
     except SystemExit as exc:
-        # --help / --version exit through here with code 0
+        # usage errors exit here with code 1 (_Parser.error), --help and --version with 0
         return exc.code if isinstance(exc.code, int) else 0
     try:
-        spec = _spec_from_args(args)
-        table = run_experiment(spec)
-        if spec.output_path:
-            with open(spec.output_path, "w", encoding="utf-8") as fh:
+        table = run_experiment(_spec_from_args(args))
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 table.write(fh, with_timestamp=not args.no_meta)
         else:
             table.write(sys.stdout, with_timestamp=not args.no_meta)

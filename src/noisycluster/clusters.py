@@ -68,10 +68,18 @@ class ClusterGraph:
         for a, b in edges:
             if a not in known or b not in known:
                 raise ValueError(f"edge ({a}, {b}) uses unknown site")
+        if stray := self.kappa.keys() - known:
+            raise ValueError(f"kappa given for unknown site {min(stray)}")
         kappa = {s: int(self.kappa.get(s, 0)) for s in sites}
         if any(v not in (0, 1) for v in kappa.values()):
             raise ValueError("kappa values must be 0 or 1")
-        theta = {e: float(self.edge_theta.get(e, 0.0)) for e in edges}
+        # theta keys are unordered pairs: (b, a) sets edge (a, b)
+        given = {tuple(sorted(e)): t for e, t in self.edge_theta.items()}
+        if len(given) < len(self.edge_theta):
+            raise ValueError("theta given twice for one edge, once in each order")
+        if stray := given.keys() - set(edges):
+            raise ValueError(f"theta given for non-edge {min(stray)}")
+        theta = {e: float(given.get(e, 0.0)) for e in edges}
         if bad := [e for e, t in theta.items() if not math.isfinite(t)]:
             raise ValueError(f"edge {bad[0]} deviation must be finite")
         object.__setattr__(self, "sites", sites)

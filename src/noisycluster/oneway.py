@@ -299,15 +299,12 @@ def gate_configs() -> tuple[GateConfig, ...]:
 def _merge_thetas(
     graph: ClusterGraph, thetas: Mapping[tuple[int, int], float] | None
 ) -> ClusterGraph:
+    """``graph`` with ``thetas`` over its own deviations; ``ClusterGraph`` checks the keys."""
     if not thetas:
         return graph
-    merged = dict(graph.edge_theta)
-    for (a, b), t in thetas.items():
-        e = (a, b) if a < b else (b, a)
-        if e not in merged:
-            raise ValueError(f"theta given for non-edge {e}")
-        merged[e] = float(t)
-    return replace(graph, edge_theta=merged)
+    given = {tuple(sorted(e)) for e in thetas}
+    kept = {e: t for e, t in graph.edge_theta.items() if e not in given}
+    return replace(graph, edge_theta={**kept, **thetas})
 
 
 def _forced_outcomes(

@@ -134,6 +134,8 @@ def overlap_exact(thetas: Sequence[float]) -> complex:
     n = len(thetas) + 1
     if n < 2:
         raise ValueError("need at least one edge")
+    if not np.isfinite(thetas).all():  # np.exp would warn and turn the overlap into NaN
+        raise ValueError("edge phases must be finite")
     char = np.exp(1j * np.multiply.outer(thetas, (-1, 0, 1)))
     u = v = np.ones(2, dtype=complex)
     for m in np.ascontiguousarray(_edge_tables(char, "overlap")):

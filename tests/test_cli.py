@@ -1,5 +1,6 @@
 """Tests for the cluster-bench command line interface."""
 
+import argparse
 import io
 import math
 import os
@@ -91,6 +92,33 @@ def test_exit_two_for_runtime_errors(tmp_path, capsys):
         assert "Traceback" not in err + out
 
 
+@pytest.mark.parametrize(
+    "code, argv",
+    [
+        (0, ("fig-dephasing", "--gamma", "inf")),
+        (0, ("fig-dephasing", "--nmax", "3", "--gamma", "1e308")),
+        (0, ("fig-noise", "--grid", "1e308:1.7e308:3")),
+        (0, ("concurrence-scan", "--grid", "1e300:1e301:2")),
+        (0, ("fig-cnot", "--samples", "2", "--grid", "0:0:1")),
+        (0, ("wire-scan", "--sizes", "100000", "--samples", "2")),
+        (0, ("wire-scan", "--samples", "2", "--sizes", "3", "--seed", "9" * 41)),
+        (1, ("wire-scan", "--sizes", "")),
+        (2, ("concurrence-scan", "--n", "1")),
+        (2, ("wire-scan", "--sizes", "2,-1")),
+        (2, ("stabilizer-check", "--graph", "{tmp}")),
+        (2, ("fig-noise", "--out", "{tmp}/missing/table.csv")),
+    ],
+)
+def test_exit_codes_at_extreme_input(tmp_path, capsys, code, argv):
+    got, out, err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert got == code, err
+    assert "Traceback" not in err + out
+    if code == 0:
+        assert err == "" and out
+    else:
+        assert err.startswith("usage: " if code == 1 else "cluster-bench: ")
+
+
 def test_overflowing_wire_draws_name_the_phase(capsys):
     code, out, err = run_cli(capsys, "wire-scan", "--sigma", "1e308", "--samples", "2")
     assert (code, out, err) == (2, "", "cluster-bench: edge phases must be finite\n")
@@ -134,6 +162,14 @@ def test_cached_parser_keeps_no_state_between_runs(capsys):
     assert {r[0] for r in rows} == {"5"}
     assert len(rows) == 10 * 10  # default grid of 10 sigmas, C(5, 2) pairs
     assert "# n: 5\n" in out
+
+
+def test_one_table_declares_every_subcommand():
+    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    kinds = (
+        "fig-noise", "fig-dephasing", "fig-cnot", "concurrence-scan", "wire-scan", "stabilizer-check"
+    )
+    assert tuple(cli._SUBCOMMANDS) == cli.EXPERIMENT_KINDS == tuple(sub.choices) == kinds
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():
@@ -218,7 +254,7 @@ def test_format_cell():
             f"a\n{text}\n"
         )
         assert legacy_format_cell(value) == text
-    fields = {f for _, template in cli._SCHEMAS.values() for f in template[:-1].split(",")}
+    fields = {f for _, _, template in cli._SUBCOMMANDS.values() for f in template[:-1].split(",")}
     assert fields == {"%d", "%.12g", "%s"}
 
 
@@ -325,7 +361,7 @@ def test_result_table_template_fields_match_columns():
     for template in ("", "%d\n", "%d,%.12g,%s\n"):
         with pytest.raises(ValueError, match="^row template does not match columns$"):
             ResultTable(columns=("a", "b"), template=template, rows=[])
-    for columns, template in cli._SCHEMAS.values():
+    for _, columns, template in cli._SUBCOMMANDS.values():
         assert template.count("%") == len(columns) and template.endswith("\n")
 
 
@@ -409,7 +445,8 @@ def test_exit_two_for_arithmetic_faults(capsys, monkeypatch):
     def overflow(params):
         raise OverflowError("math range error")
 
-    monkeypatch.setitem(cli._RUNNERS, "fig-noise", overflow)
+    _, columns, template = cli._SUBCOMMANDS["fig-noise"]
+    monkeypatch.setitem(cli._SUBCOMMANDS, "fig-noise", (overflow, columns, template))
     code, out, err = run_cli(capsys, "fig-noise")
     assert code == 2
     assert err.startswith("cluster-bench:")
@@ -622,7 +659,8 @@ def test_exit_two_for_memory_errors(capsys, monkeypatch, error, message):
     def allocate(params):
         raise error
 
-    monkeypatch.setitem(cli._RUNNERS, "wire-scan", allocate)
+    _, columns, template = cli._SUBCOMMANDS["wire-scan"]
+    monkeypatch.setitem(cli._SUBCOMMANDS, "wire-scan", (allocate, columns, template))
     code, out, err = run_cli(capsys, "wire-scan")
     assert (code, out, err) == (2, "", f"cluster-bench: {message}\n")
 

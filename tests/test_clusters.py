@@ -115,6 +115,27 @@ def test_cluster_graph_validation():
         chain_graph(3).position(9)
 
 
+def test_reversed_theta_key_sets_the_edge():
+    g = ClusterGraph((1, 2, 3), ((2, 1), (3, 2)), {2: 1}, {(2, 1): 0.4, (2, 3): 0.7})
+    assert g.edge_theta == {(1, 2): 0.4, (2, 3): 0.7}
+    assert g.kappa == {1: 0, 2: 1, 3: 0}
+
+
+@pytest.mark.parametrize(
+    "kappa, theta, message",
+    [
+        ({5: 1}, {}, "kappa given for unknown site 5"),
+        ({}, {(2, 1): 0.4, (2, 3): 0.7}, r"theta given for non-edge \(2, 3\)"),
+        ({}, {(1, 1): 0.4}, r"theta given for non-edge \(1, 1\)"),
+        ({}, {(2, 1): 0.4, (1, 2): 0.4}, "theta given twice for one edge, once in each order"),
+    ],
+    ids=["kappa-off-site", "theta-off-edge", "theta-self-loop", "theta-both-orders"],
+)
+def test_graph_data_off_the_graph_is_refused(kappa, theta, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ClusterGraph((1, 2), ((2, 1),), kappa, theta)
+
+
 def test_edges_are_normalized_and_deduped():
     g = ClusterGraph((1, 2, 3), ((3, 1), (1, 3), (2, 3)), {}, {})
     assert g.edges == ((1, 3), (2, 3))

@@ -957,8 +957,10 @@ def test_contraction_matches_dense_run_gate(make, sigma):
 def test_gate_fidelity_once_theta_handling():
     cfg = config_cnot4()
     inputs = {1: InputQubit.plus(), 3: InputQubit.zero()}
-    with pytest.raises(ValueError):
-        gate_fidelity_once(cfg, inputs, {(1, 3): 0.3})
+    with pytest.raises(ValueError, match=r"^theta given for non-edge \(1, 3\)$"):
+        gate_fidelity_once(cfg, inputs, {(3, 1): 0.3})
+    with pytest.raises(ValueError, match="^theta given twice"):
+        gate_fidelity_once(cfg, inputs, {(1, 2): 0.7, (2, 1): 0.7})
     with pytest.raises(ValueError):
         gate_fidelity_once(cfg, {1: InputQubit.plus()})
     # unordered edge keys; unlisted edges keep the graph's own deviation
@@ -966,6 +968,13 @@ def test_gate_fidelity_once_theta_handling():
     assert gate_fidelity_once(noisy, inputs, {(2, 1): 0.7}) == pytest.approx(
         dense_fidelities(cfg, inputs, [[0.7, 0.4, 0.9]])[0], abs=1e-12
     )
+    # a reversed key gives the forward key's value, bit for bit
+    skewed = {1: InputQubit(0.6, 0.8), 3: InputQubit(0.8, 0.6)}
+    for thetas in ({(3, 2): 0.3}, {(2, 1): 0.7, (4, 3): 0.2}):
+        forward = {tuple(sorted(e)): t for e, t in thetas.items()}
+        assert gate_fidelity_once(noisy, skewed, thetas) == gate_fidelity_once(
+            noisy, skewed, forward
+        ) != gate_fidelity_once(noisy, skewed)
 
 
 def test_contraction_site_cap():

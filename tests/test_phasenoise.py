@@ -214,6 +214,17 @@ def test_overlap_exact_zero_noise():
     assert overlap_exact([0.0] * 5) == pytest.approx(1.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("edge", [0, 3])
+def test_overlap_exact_refuses_non_finite_phases(bad, edge):
+    # checked before np.exp, which would warn on inf and return NaN for either
+    thetas = [0.1] * 4
+    thetas[edge] = bad
+    with pytest.raises(ValueError, match="^edge phases must be finite$"):
+        overlap_exact(thetas)
+
+
 def overlap_exact_per_edge(thetas):
     """The per-edge loop overlap_exact ran before its tables came from the phasenoise
     builder: one 2x2 matrix built per phase."""
