@@ -45,16 +45,6 @@ from .states import (
 )
 
 @dataclass(frozen=True)
-class InlineCorrection:
-    """Local gate applied to a live site right after another site is measured."""
-
-    after_site: int
-    target_site: int
-    name: str
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class MeasurementPattern:
     """Ordered single-qubit measurements with a Pauli decoding table.
 
@@ -65,7 +55,6 @@ class MeasurementPattern:
     steps: tuple[tuple[int, MeasurementBasis], ...]
     outputs: tuple[int, ...]
     decoding: Mapping[tuple[int, ...], tuple[tuple[int, int], ...]]
-    corrections: tuple[InlineCorrection, ...] = ()
 
     @property
     def postselect_only(self) -> bool:
@@ -85,44 +74,45 @@ class GateConfig:
     ideal_gate: np.ndarray
     output_frame: tuple[np.ndarray, ...]
 
+    def __post_init__(self) -> None:
+        """Refuse a shape that no evaluator can run, once, before either runs it."""
+        sites, pattern = set(self.graph.sites), self.pattern
+        measured = pattern.measured_sites()
+        for kind, chosen in (("measured", measured), ("input", self.input_sites)):
+            if len(set(chosen)) < len(chosen) or not set(chosen) <= sites:
+                raise ValueError(f"{kind} sites must be distinct graph sites")
+        if tuple(s for s in self.graph.sites if s not in measured) != pattern.outputs:
+            raise ValueError("pattern does not reduce the register to the outputs")
+        k = len(self.input_sites)
+        if not k == len(pattern.outputs) == len(self.output_frame):
+            raise ValueError("need one output and one output frame per input site")
+        if np.shape(self.ideal_gate) != (2**k, 2**k):
+            raise ValueError(f"ideal gate must be {2**k} x {2**k} for {k} inputs")
+
     @functools.cached_property
     def _zero_branch(self) -> tuple[dict[int, np.ndarray], np.ndarray, list, list]:
         """The all-zero branch as a tensor network, built on first use.
 
-        Returns the bra of each measured site with inline corrections folded
-        in, the decoding Paulis and frame on the outputs, the ``np.einsum``
-        sublists (sites, then edges, then the output) and the contraction path.
+        Returns the bra of each measured site, the decoding Paulis and frame on
+        the outputs, the ``np.einsum`` sublists (sites, then edges, then the
+        output) and the contraction path.
         """
         graph, pattern = self.graph, self.pattern
-        order = {site: k for k, (site, _) in enumerate(pattern.steps)}
-        key = (0,) * len(order)
-        if tuple(s for s in graph.sites if s not in order) != pattern.outputs:
-            raise ValueError("pattern does not reduce the register to the outputs")
+        key = (0,) * len(pattern.steps)
         if key not in pattern.decoding:
             raise ValueError(f"no decoding entry for outcomes {key}")
         if graph.num_sites >= 52:
             raise ValueError("np.einsum labels cap the contraction at 51 sites")
-        # an inline correction C on a live site turns its later bra into <0| C;
-        # on an output it acts before the decoding
-        ops = {site: IDENTITY_2 for site in graph.sites}
-        for k, (site, _) in enumerate(pattern.steps):
-            for corr in (c for c in pattern.corrections if c.after_site == site):
-                if order.get(corr.target_site, k + 1) <= k:
-                    raise ValueError(f"correction targets measured site {corr.target_site}")
-                ops[corr.target_site] = corr.matrix @ ops[corr.target_site]
         bras = {}
         for site, basis in pattern.steps:
             if basis.axis == "z":
-                bra = np.array([1.0, 0.0])
+                bras[site] = np.array([1.0, 0.0])
             else:
-                bra = np.array([1.0, np.exp(-1j * basis.alpha)]) / math.sqrt(2.0)
-            bras[site] = bra @ ops[site]
+                bras[site] = np.array([1.0, np.exp(-1j * basis.alpha)]) / math.sqrt(2.0)
         decode = np.ones((1, 1))
-        for site, (x_exp, z_exp), frame in zip(
-            pattern.outputs, pattern.decoding[key], self.output_frame
-        ):
+        for (x_exp, z_exp), frame in zip(pattern.decoding[key], self.output_frame):
             local = frame @ (PAULI_Z if z_exp else IDENTITY_2)
-            decode = np.kron(decode, local @ (PAULI_X if x_exp else IDENTITY_2) @ ops[site])
+            decode = np.kron(decode, local @ (PAULI_X if x_exp else IDENTITY_2))
         # sublist labels: site k is k, the batch axis is num_sites
         pos = {site: k for k, site in enumerate(graph.sites)}
         batch = graph.num_sites
@@ -248,36 +238,30 @@ def config_cnot15() -> GateConfig:
     )
 
 
-# Y-measuring the bridge site 16 with outcome 0 leaves the squashed-I
-# cluster up to sqrt(-iZ) = SSS on each neighbor (Hein, Eisert & Briegel,
-# PRA 69, 062311, 2004); tests re-derive these words by Clifford search.
-_BRIDGE_CORRECTIONS = ((8, "SSS"), (12, "SSS"))
-
-
 @functools.lru_cache(maxsize=1)
 def config_cnot16_bridged() -> GateConfig:
     """Squashed-I CNOT with a redundant bridge site 16 between 8 and 12.
 
     Site 16 is measured first, in the Y basis: contracting a degree-2 site
     between non-adjacent neighbors in that basis yields exactly the missing
-    (8,12) edge up to phase-gate corrections on 8 and 12 (an X measurement
-    instead leaves a z8 = z12 parity constraint that no local frame can
-    remove, so it cannot retrieve the plain squashed-I cluster). The
-    corrections are the frozen Clifford words ``_BRIDGE_CORRECTIONS``,
-    applied inline, after which the 15-site pattern runs unchanged.
-    Postselect-only.
+    (8,12) edge up to a phase gate on 8 and on 12 (an X measurement instead
+    leaves a z8 = z12 parity constraint that no local frame can remove, so
+    it cannot retrieve the plain squashed-I cluster). Those phase gates are
+    folded into the later measurements of 8 and 12, whose bases turn by
+    pi/2; the other 13 steps are the 15-site pattern's. Postselect-only.
     """
     base = config_cnot15()
-    clifford = dict(clifford_group_1q())
-    steps = ((16, MeasurementBasis.y()),) + base.pattern.steps
+    # Y-measuring the bridge with outcome 0 leaves S^dagger = SSS on sites 8 and 12
+    # (Hein, Eisert & Briegel, PRA 69, 062311, 2004), and S^dagger followed by a
+    # planar(alpha) measurement is a planar(alpha + pi/2) measurement
+    steps = ((16, MeasurementBasis.y()),) + tuple(
+        (site, MeasurementBasis.planar(b.alpha + math.pi / 2) if site in (8, 12) else b)
+        for site, b in base.pattern.steps
+    )
     pattern = MeasurementPattern(
         steps=steps,
         outputs=(7, 15),
         decoding={(0,) * len(steps): _SQUASHED_I_DECODING},
-        corrections=tuple(
-            InlineCorrection(16, site, name, clifford[name])
-            for site, name in _BRIDGE_CORRECTIONS
-        ),
     )
     return GateConfig(
         name="cnot16_bridged",
@@ -360,12 +344,6 @@ def run_gate(
         realized.append(out)
         probability *= p
         live.pop(pos - 1)
-        for corr in config.pattern.corrections:
-            if corr.after_site == site:
-                state = apply_local(state, live.index(corr.target_site) + 1, corr.matrix)
-
-    if tuple(live) != config.pattern.outputs:
-        raise AssertionError("pattern did not reduce the register to the outputs")
 
     key = tuple(realized)
     table = config.pattern.decoding

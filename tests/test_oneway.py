@@ -198,15 +198,19 @@ def test_cnot15_rejects_unlisted_branch():
 def test_cnot16_bridge_corrections():
     cfg = config_cnot16_bridged()
     assert cfg.pattern.steps[0][0] == 16
-    assert cfg.pattern.steps[0][1].alpha == pytest.approx(math.pi / 2)
     assert (8, 12) not in cfg.graph.edges
     assert (8, 16) in cfg.graph.edges and (12, 16) in cfg.graph.edges
-    assert [(c.after_site, c.target_site) for c in cfg.pattern.corrections] == [
-        (16, 8),
-        (16, 12),
+    # contracting the bridge in the Y basis costs S^dagger on each neighbor, folded
+    # into their bases: planar(pi) on 8 (Y in cnot15) and Y on 12 (X in cnot15)
+    bases = dict(cfg.pattern.steps)
+    assert {bases[s].axis for s in (16, 8, 12)} == {"planar"}
+    assert [bases[s].alpha for s in (16, 8, 12)] == [math.pi / 2, math.pi, math.pi / 2]
+    # every other step is cnot15's, in cnot15's order
+    plain = config_cnot15().pattern.steps
+    assert cfg.pattern.measured_sites()[1:] == tuple(s for s, _ in plain)
+    assert [(s, b) for s, b in cfg.pattern.steps[1:] if s not in (8, 12)] == [
+        (s, b) for s, b in plain if s not in (8, 12)
     ]
-    # contracting the bridge in the Y basis costs a phase gate on each neighbor
-    assert {c.name for c in cfg.pattern.corrections} == {"SSS"}
 
 
 def test_cnot16_zero_noise_truth_table():
@@ -236,7 +240,7 @@ def test_gate_configs_listing():
 def test_cnot16_bridge_correction_rederivation():
     # Y-measuring the bridge of the dense 16-site cluster and searching the
     # Clifford pairs on sites 8 and 12 against the dense 15-site squashed-I
-    # cluster reproduces the frozen words and matrices
+    # cluster finds the words that the bridged pattern folds into its bases
     cfg = config_cnot16_bridged()
     base = config_cnot15().graph
     _, _, post = measure(
@@ -245,9 +249,12 @@ def test_cnot16_bridge_correction_rederivation():
     expect = derive_local_correction(
         post, build_cluster(base), [base.position(8), base.position(12)]
     )
-    assert tuple(c.name for c in cfg.pattern.corrections) == expect.names
-    for corr, matrix in zip(cfg.pattern.corrections, expect.matrices):
-        assert (corr.matrix == matrix).all()
+    assert expect.names == ("SSS", "SSS")
+    # the folded bases carry exactly those words: bra_16(site) = bra_15(site) SSS
+    bras, plain = cfg._zero_branch[0], config_cnot15()._zero_branch[0]
+    for site, matrix in zip((8, 12), expect.matrices):
+        np.testing.assert_allclose(bras[site], plain[site] @ matrix, rtol=0, atol=1e-15)
+    assert all((bras[s] == plain[s]).all() for s in plain if s not in (8, 12))
 
 
 def test_cnot16_bridged_setup_runs_no_dense_engine(monkeypatch):
@@ -261,7 +268,93 @@ def test_cnot16_bridged_setup_runs_no_dense_engine(monkeypatch):
         cfg = config_cnot16_bridged()
     finally:
         config_cnot16_bridged.cache_clear()
-    assert [c.name for c in cfg.pattern.corrections] == ["SSS", "SSS"]
+    bases = dict(cfg.pattern.steps)
+    assert [bases[s].alpha for s in (16, 8, 12)] == [math.pi / 2, math.pi, math.pi / 2]
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
+def test_cnot16_bridged_matches_the_dense_run_with_corrections(noisy):
+    # the folded bases against the run they replace: Y-measure the bridge with
+    # outcome 0, apply SSS to sites 8 and 12 by hand, then run cnot15's steps
+    cfg, plain = config_cnot16_bridged(), config_cnot15()
+    sss = dict(clusters.clifford_group_1q())["SSS"]
+    rng = np.random.default_rng(SEED)
+    thetas = {e: rng.normal(0.0, 0.4) for e in cfg.graph.edges} if noisy else {}
+    for in1, in2 in PROBES:
+        inputs = {1: in1, 9: in2}
+        state = build_cluster(dataclasses.replace(cfg.graph, edge_theta=thetas), inputs)
+        live = list(cfg.graph.sites)
+        _, probability, state = measure(state, live.index(16) + 1, MeasurementBasis.y(), force=0)
+        live.remove(16)
+        for site in (8, 12):
+            state = states.apply_local(state, live.index(site) + 1, sss)
+        for site, basis in plain.pattern.steps:
+            _, p, state = measure(state, live.index(site) + 1, basis, force=0)
+            probability *= p
+            live.remove(site)
+        assert tuple(live) == plain.pattern.outputs
+        decoding = plain.pattern.decoding[(0,) * len(plain.pattern.steps)]
+        for idx, ((x_exp, z_exp), frame) in enumerate(zip(decoding, plain.output_frame)):
+            local = frame @ np.linalg.matrix_power(states.PAULI_Z, z_exp)
+            local = local @ np.linalg.matrix_power(PAULI_X, x_exp)
+            state = states.apply_local(state, idx + 1, local)
+        run = run_gate(cfg, inputs, thetas)
+        np.testing.assert_allclose(run.state.amplitudes, state.amplitudes, rtol=0, atol=1e-12)
+        assert run.probability == pytest.approx(probability, rel=0, abs=1e-12)
+
+
+def _cnot4_measuring(*sites):
+    """cnot4's pattern X-measuring ``sites``, with an all-zero decoding entry."""
+    pattern = config_cnot4().pattern
+    steps = tuple((site, MeasurementBasis.x()) for site in sites)
+    return MeasurementPattern(steps, pattern.outputs, {(0,) * len(steps): ((0, 0), (0, 0))})
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        pytest.param(
+            {"pattern": _cnot4_measuring(1, 3, 99)},
+            "^measured sites must be distinct graph sites$",
+            id="step-on-a-non-site",
+        ),
+        pytest.param(
+            {"pattern": _cnot4_measuring(1, 3, 1)},
+            "^measured sites must be distinct graph sites$",
+            id="site-measured-twice",
+        ),
+        pytest.param(
+            {"input_sites": (1, 99)},
+            "^input sites must be distinct graph sites$",
+            id="input-on-a-non-site",
+        ),
+        pytest.param(
+            {"input_sites": (1, 1)},
+            "^input sites must be distinct graph sites$",
+            id="input-given-twice",
+        ),
+        pytest.param(
+            {"output_frame": (HADAMARD,)},
+            "^need one output and one output frame per input site$",
+            id="one-entry-output-frame",
+        ),
+        pytest.param(
+            {"pattern": _cnot4_measuring(1, 2)},
+            "^pattern does not reduce the register to the outputs$",
+            id="outputs-not-the-unmeasured-sites",
+        ),
+        pytest.param(
+            {"ideal_gate": np.eye(2)},
+            "^ideal gate must be 4 x 4 for 2 inputs$",
+            id="ideal-gate-of-the-wrong-size",
+        ),
+    ],
+)
+def test_malformed_gate_config_is_refused_at_construction(change, message):
+    # refused once, where the config is built: an evaluator given one of these would
+    # fail in its own way (KeyError, list.index, a numpy shape error) or return a wrong number
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(config_cnot4(), name="malformed", **change)
 
 
 # --- X/Y pattern search (tools/xy_search.py) -------------------------------
