@@ -22,7 +22,7 @@ from typing import Any, Mapping, NoReturn, Sequence, TextIO
 import numpy as np
 
 from . import __version__
-from .clusters import _twisted_cluster, load_graph, verify_stabilizers
+from .clusters import _cluster_stabilizers, load_graph
 from .entanglement import _pair_grid
 # pair_scan is unused here; bench/spans.py looks it up on this module to trace it
 from .entanglement import pair_scan  # noqa: F401
@@ -187,7 +187,7 @@ def _run_stabilizer_check(params: Mapping[str, Any]) -> list[tuple]:
         raise ExperimentError("stabilizer-check requires a graph file")
     graph = load_graph(path)
     # the cluster with the declared kappa labels: a sigma_z flips the site's eigenvalue
-    report = verify_stabilizers(_twisted_cluster(graph), graph)
+    report = _cluster_stabilizers(graph)
     rows = []
     for site in graph.sites:
         expected = (-1.0) ** graph.kappa[site]

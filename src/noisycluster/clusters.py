@@ -9,6 +9,7 @@ so removing a site keeps the relative order of the survivors, matching how
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -195,7 +196,8 @@ def verify_stabilizers(state: PureState, graph: ClusterGraph) -> StabilizerRepor
     """Expectation of every correlation operator against its kappa sign.
 
     Meaningful as a pass/fail check for theta = 0 clusters; for noisy states
-    the report still carries the raw expectations.
+    the report still carries the raw expectations. This is the dense oracle of
+    ``_cluster_stabilizers``, which reads them off a twisted cluster's edges.
     """
     if state.num_qubits != graph.num_sites:
         raise ValueError("state size does not match graph")
@@ -204,6 +206,22 @@ def verify_stabilizers(state: PureState, graph: ClusterGraph) -> StabilizerRepor
         abs(eigenvalues[s] - (-1.0) ** graph.kappa[s]) <= STABILIZER_ATOL
         for s in graph.sites
     )
+    return StabilizerReport(eigenvalues, passed)
+
+
+def _cluster_stabilizers(graph: ClusterGraph) -> StabilizerReport:
+    """``verify_stabilizers(_twisted_cluster(graph), graph)`` without a state vector:
+    <K_a> = (-1)^kappa_a Re prod_{b in N(a)} (1 + e^{i theta_ab}) / 2 (Raussendorf &
+    Briegel 2001; Hein, Eisert & Briegel 2004), each edge's factor on both its ends."""
+    if not graph.sites:
+        raise ValueError("graph has no sites")
+    products = dict.fromkeys(graph.sites, 1.0 + 0.0j)
+    for (a, b), theta in graph.edge_theta.items():
+        factor = (1.0 + cmath.exp(1j * theta)) / 2.0
+        products[a] *= factor
+        products[b] *= factor
+    eigenvalues = {s: (-1.0) ** graph.kappa[s] * p.real for s, p in products.items()}
+    passed = all(abs(p.real - 1.0) <= STABILIZER_ATOL for p in products.values())
     return StabilizerReport(eigenvalues, passed)
 
 

@@ -86,6 +86,8 @@ class GateConfig:
         k = len(self.input_sites)
         if not k == len(pattern.outputs) == len(self.output_frame):
             raise ValueError("need one output and one output frame per input site")
+        if bad := [key for key, pairs in pattern.decoding.items() if len(pairs) != k]:
+            raise ValueError(f"decoding table entry {bad[0]} needs one pair per output")
         if np.shape(self.ideal_gate) != (2**k, 2**k):
             raise ValueError(f"ideal gate must be {2**k} x {2**k} for {k} inputs")
 

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from noisycluster import cli, oneway, phasenoise
+from noisycluster import cli, clusters, oneway, phasenoise, states
 from noisycluster.cli import (
     CNOT_INPUT,
     ExperimentError,
@@ -92,6 +92,15 @@ def test_exit_two_for_runtime_errors(tmp_path, capsys):
         assert "Traceback" not in err + out
 
 
+@pytest.fixture(scope="module")
+def graph_files(tmp_path_factory):
+    """A graph file with no sites, and a 100 x 100 grid."""
+    path = tmp_path_factory.mktemp("graphs")
+    (path / "empty.graph").write_text("# no sites\n")
+    (path / "grid100x100.graph").write_text(clusters.format_graph(clusters.grid_graph(100, 100)))
+    return path
+
+
 @pytest.mark.parametrize(
     "code, argv",
     [
@@ -106,11 +115,14 @@ def test_exit_two_for_runtime_errors(tmp_path, capsys):
         (2, ("concurrence-scan", "--n", "1")),
         (2, ("wire-scan", "--sizes", "2,-1")),
         (2, ("stabilizer-check", "--graph", "{tmp}")),
+        (2, ("stabilizer-check", "--graph", "{graphs}/empty.graph")),
+        (0, ("stabilizer-check", "--graph", "{graphs}/grid100x100.graph")),
         (2, ("fig-noise", "--out", "{tmp}/missing/table.csv")),
     ],
 )
-def test_exit_codes_at_extreme_input(tmp_path, capsys, code, argv):
-    got, out, err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+def test_exit_codes_at_extreme_input(tmp_path, graph_files, capsys, code, argv):
+    argv = (arg.format(tmp=tmp_path, graphs=graph_files) for arg in argv)
+    got, out, err = run_cli(capsys, *argv)
     assert got == code, err
     assert "Traceback" not in err + out
     if code == 0:
@@ -702,6 +714,50 @@ def test_stabilizer_check_with_kappa(tmp_path, capsys):
     assert [r[0] for r in rows] == ["1", "2", "3"]
     assert [r[2] for r in rows] == ["1", "-1", "1"]
     assert all(r[3] == "1" for r in rows)
+
+
+def test_stabilizer_check_runs_past_the_dense_register_cap(tmp_path, capsys):
+    # 25 sites: one more than the dense register (states.MAX_PURE_QUBITS) holds
+    grid = clusters.grid_graph(5, 5)
+    grid = clusters.ClusterGraph(grid.sites, grid.edges, {s: s % 2 for s in grid.sites}, {})
+    graph = tmp_path / "grid5x5.graph"
+    graph.write_text(clusters.format_graph(grid))
+    code, out, err = run_cli(capsys, "stabilizer-check", "--graph", str(graph), "--no-meta")
+    assert code == 0, err
+    rows = data_rows(out, "site,eigenvalue,expected,ok")
+    assert [r[0] for r in rows] == [str(s) for s in grid.sites]
+    signs = ["-1" if s % 2 else "1" for s in grid.sites]
+    assert [r[1] for r in rows] == [r[2] for r in rows] == signs
+    assert all(r[3] == "1" for r in rows)
+
+
+# each subcommand at its defaults, with fewer Monte Carlo samples
+SMALL_ARGV = {
+    "fig-noise": (),
+    "fig-dephasing": (),
+    "fig-cnot": ("--samples", "20"),
+    "concurrence-scan": (),
+    "wire-scan": ("--samples", "20"),
+    "stabilizer-check": ("--graph", "{graph}"),
+}
+
+
+@pytest.mark.parametrize("kind", cli.EXPERIMENT_KINDS)
+def test_no_subcommand_builds_a_state_vector(tmp_path, capsys, monkeypatch, kind):
+    def dense(*args, **kwargs):
+        raise AssertionError("the dense engine ran")
+
+    for module in (clusters, oneway):
+        monkeypatch.setattr(module, "build_cluster", dense)
+    for module in (states, clusters):
+        monkeypatch.setattr(module, "init_register", dense)
+    # README's graph: a flipped sign and a noisy edge
+    graph = tmp_path / "chain.graph"
+    graph.write_text("site 1\nsite 2\nsite 3\nedge 1 2\nedge 2 3 0.25\nkappa 2 1\n")
+    argv = [arg.format(graph=graph) for arg in SMALL_ARGV[kind]]
+    code, out, err = run_cli(capsys, kind, *argv, "--no-meta")
+    assert code == 0, err
+    assert err == "" and out
 
 
 # --- python-level entry points -----------------------------------------------

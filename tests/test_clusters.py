@@ -10,6 +10,8 @@ from noisycluster.clusters import (
     ClusterGraph,
     NoLocalCorrectionError,
     UnsupportedGraphError,
+    _cluster_stabilizers,
+    _twisted_cluster,
     build_cluster,
     chain_graph,
     clifford_group_1q,
@@ -225,6 +227,53 @@ def test_verify_stabilizers_z_flip():
 def test_verify_stabilizers_size_mismatch():
     with pytest.raises(ValueError, match="does not match"):
         verify_stabilizers(build_cluster(chain_graph(3)), chain_graph(4))
+
+
+def _noisy(graph, seed, sigma=0.7, pi_edges=()):
+    """``graph`` with random kappa, Gaussian edge phases and theta = pi on ``pi_edges``."""
+    rng = np.random.default_rng(seed)
+    kappa = {s: int(rng.integers(2)) for s in graph.sites}
+    theta = {e: rng.normal(0.0, sigma) for e in graph.edges}
+    theta.update(dict.fromkeys(pi_edges, math.pi))
+    return ClusterGraph(graph.sites, graph.edges, kappa, theta)
+
+
+def _random_graph(n, p, seed):
+    rng = np.random.default_rng(seed)
+    edges = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if rng.random() < p]
+    return ClusterGraph(tuple(range(1, n + 1)), tuple(edges), {}, {})
+
+
+EDGE_PRODUCT_GRAPHS = {
+    "one-site": ClusterGraph((7,), (), {7: 1}, {}),
+    "chain-ideal": chain_graph(6),
+    "chain-noisy": _noisy(chain_graph(9), SEED),
+    "grid-ideal-kappa": ClusterGraph(grid_graph(3, 3).sites, grid_graph(3, 3).edges, {5: 1}, {}),
+    "grid-noisy": _noisy(grid_graph(3, 4), SEED + 1),
+    "grid-wide-noise": _noisy(grid_graph(2, 7), SEED + 2, sigma=3.0),
+    "isolated-site": _noisy(
+        ClusterGraph((1, 2, 3, 4, 9), ((1, 2), (2, 3), (3, 4)), {}, {}), SEED + 3
+    ),
+    # site 3 carries two pi edges, site 6 one at a chain end
+    "pi-edges": _noisy(chain_graph(6), SEED + 4, pi_edges=[(2, 3), (3, 4), (5, 6)]),
+    "random-graph": _noisy(_random_graph(10, 0.4, SEED + 5), SEED + 6, sigma=1.3),
+}
+
+
+@pytest.mark.parametrize("graph", EDGE_PRODUCT_GRAPHS.values(), ids=EDGE_PRODUCT_GRAPHS)
+def test_cluster_stabilizers_match_the_dense_oracle(graph):
+    fast = _cluster_stabilizers(graph)
+    dense = verify_stabilizers(_twisted_cluster(graph), graph)
+    assert list(fast.eigenvalues) == list(dense.eigenvalues) == list(graph.sites)
+    np.testing.assert_allclose(
+        list(fast.eigenvalues.values()), list(dense.eigenvalues.values()), rtol=0, atol=1e-12
+    )
+    assert fast.passed == dense.passed
+
+
+def test_cluster_stabilizers_refuse_an_empty_graph():
+    with pytest.raises(ValueError, match="^graph has no sites$"):
+        _cluster_stabilizers(ClusterGraph((), (), {}, {}))
 
 
 # --- single-qubit Clifford enumeration ---

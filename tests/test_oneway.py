@@ -310,6 +310,13 @@ def _cnot4_measuring(*sites):
     return MeasurementPattern(steps, pattern.outputs, {(0,) * len(steps): ((0, 0), (0, 0))})
 
 
+def _cnot4_decoding(edit):
+    """cnot4's pattern with each decoding entry replaced by ``edit(key, pairs)``."""
+    pattern = config_cnot4().pattern
+    decoding = {key: edit(key, pairs) for key, pairs in pattern.decoding.items()}
+    return dataclasses.replace(pattern, decoding=decoding)
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -347,6 +354,16 @@ def _cnot4_measuring(*sites):
             {"ideal_gate": np.eye(2)},
             "^ideal gate must be 4 x 4 for 2 inputs$",
             id="ideal-gate-of-the-wrong-size",
+        ),
+        pytest.param(
+            {"pattern": _cnot4_decoding(lambda key, pairs: pairs[:1])},
+            r"^decoding table entry \(0, 0\) needs one pair per output$",
+            id="every-decoding-entry-one-pair",
+        ),
+        pytest.param(
+            {"pattern": _cnot4_decoding(lambda key, pairs: pairs + ((0, 0),) * (key == (1, 0)))},
+            r"^decoding table entry \(1, 0\) needs one pair per output$",
+            id="one-decoding-entry-three-pairs",
         ),
     ],
 )

@@ -7,8 +7,9 @@ piece is called once to warm up, then ``--repeat`` times in a loop of as many
 calls as fit in ``--budget`` seconds; the median and minimum per-call times are
 recorded. The Monte Carlo pieces are reported per sample, from calls of
 ``MC_SAMPLES`` samples. The process pass runs each ``cluster-bench``
-subcommand at its defaults (``--no-meta``, output discarded) ``--repeat``
-times in a fresh interpreter and records its wall and CPU time. The file
+subcommand at its defaults, and ``stabilizer-check`` on a 4 x 5 grid as well
+(``--no-meta``, output discarded), ``--repeat`` times in a fresh interpreter
+and records its wall and CPU time. The file
 also records the CPU count, the numpy and BLAS versions and the BLAS thread
 variables, as the benchmark's ``environment()`` (``bench/run.py``) reports them,
 and the median of ``CALIBRATION_CALLS`` calls of the benchmark's
@@ -52,16 +53,23 @@ from noisycluster import cli, clusters, entanglement, oneway, phasenoise, states
 MC_SAMPLES = 200
 CALIBRATION_CALLS = 5
 CLI_CALL = "import sys; from noisycluster.cli import main; sys.exit(main(sys.argv[1:]))"
-# README's example graph: 3-site chain, one flipped correlation sign, one noisy edge
-GRAPH = "site 1\nsite 2\nsite 3\nedge 1 2\nedge 2 3 0.25\nkappa 2 1\n"
-SUBCOMMANDS = (
-    ("fig-noise",),
-    ("fig-dephasing",),
-    ("fig-cnot",),
-    ("concurrence-scan",),
-    ("wire-scan",),
-    ("stabilizer-check", "--graph", "{graph}"),
-)
+# graph files for the process pass: README's example graph (3-site chain, one flipped
+# correlation sign, one noisy edge), and a 4 x 5 grid, whose 20 sites would fill a
+# 2^20-amplitude register on the dense engine
+GRAPHS = {
+    "readme": "site 1\nsite 2\nsite 3\nedge 1 2\nedge 2 3 0.25\nkappa 2 1\n",
+    "grid4x5": clusters.format_graph(clusters.grid_graph(4, 5)),
+}
+# each process entry's key and its cluster-bench argv
+PROCESSES = {
+    "fig-noise": ("fig-noise",),
+    "fig-dephasing": ("fig-dephasing",),
+    "fig-cnot": ("fig-cnot",),
+    "concurrence-scan": ("concurrence-scan",),
+    "wire-scan": ("wire-scan",),
+    "stabilizer-check": ("stabilizer-check", "--graph", "{readme}"),
+    "stabilizer-check.grid4x5": ("stabilizer-check", "--graph", "{grid4x5}"),
+}
 # one round of the benchmark's chain-exact workload (bench/workloads.py, ChainExact.commands)
 CHAIN_EXACT = (
     ("fig-noise",),
@@ -186,15 +194,16 @@ def process_pass(repeat: int) -> dict:
     env = dict(os.environ, PYTHONPATH=SRC)
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        graph = os.path.join(tmp, "chain3.graph")
-        with open(graph, "w", encoding="utf-8") as fh:
-            fh.write(GRAPH)
+        paths = {name: os.path.join(tmp, f"{name}.graph") for name in GRAPHS}
+        for name, text in GRAPHS.items():
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write(text)
         # interpreter start-up and the package import alone, then each subcommand
         commands = {"import": [sys.executable, "-c", "import noisycluster.cli"]}
-        for argv in SUBCOMMANDS:
-            argv = [a.format(graph=graph) for a in argv]
+        for name, argv in PROCESSES.items():
+            argv = [a.format(**paths) for a in argv]
             argv += ["--no-meta", "--out", os.devnull]
-            commands[argv[0]] = [sys.executable, "-c", CLI_CALL, *argv]
+            commands[name] = [sys.executable, "-c", CLI_CALL, *argv]
         for name, cmd in commands.items():
             walls, cpus = [], []
             for _ in range(repeat):
