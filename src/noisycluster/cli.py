@@ -1,11 +1,11 @@
 """Command-line experiment runner emitting the analysis tables as CSV.
 
-Each subcommand builds an ``ExperimentSpec``, runs it through
-``run_experiment`` and writes a ``ResultTable``: ``#``-prefixed metadata
-lines, a column header, then comma-separated rows with floats at 12
-significant digits. With a fixed seed the output is byte-identical across
-runs; the only non-deterministic line, the timestamp, is dropped under
-``--no-meta``.
+Each subcommand's options, defaults included, are declared once in
+``build_parser``; ``run_experiment`` takes the parsed arguments and returns a
+``ResultTable``: ``#``-prefixed metadata lines, a column header, then
+comma-separated rows with floats at 12 significant digits. With a fixed seed
+the output is byte-identical across runs; the only non-deterministic line, the
+timestamp, is dropped under ``--no-meta``.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ import math
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Any, Mapping, NoReturn, Sequence, TextIO
+from typing import NoReturn, Sequence, TextIO
 
 import numpy as np
 
 from . import __version__
-from .clusters import _cluster_stabilizers, load_graph
+from .clusters import _cluster_stabilizers, _stabilizer_ok, load_graph
 from .entanglement import _pair_grid
 # pair_scan is unused here; bench/spans.py looks it up on this module to trace it
 from .entanglement import pair_scan  # noqa: F401
@@ -44,33 +44,6 @@ _MAX_SCAN_ROWS = 10**6
 
 # most Monte Carlo samples per call of fig-cnot or wire-scan, refused before any draw
 _MAX_SAMPLES = 10**6
-
-
-class ExperimentError(RuntimeError):
-    """Invalid experiment parameters or a failure while running one."""
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    kind: str
-    params: Mapping[str, Any]
-
-    def __post_init__(self) -> None:
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ExperimentError(f"unknown experiment kind {self.kind!r}")
-        grid = self.params.get("grid")
-        if grid is not None:
-            if len(grid) == 0:
-                raise ExperimentError("grid must be non-empty")
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ExperimentError("grid must be strictly increasing")
-        if self.kind in ("fig-cnot", "wire-scan") and self.params.get("seed", 0) < 0:
-            raise ExperimentError("seed must be >= 0")
-        samples = self.params.get("samples")
-        if samples is not None and samples < 2:
-            raise ExperimentError("Monte Carlo needs at least 2 samples")
-        if samples is not None and samples > _MAX_SAMPLES:
-            raise ExperimentError(f"Monte Carlo takes at most {_MAX_SAMPLES} samples")
 
 
 @dataclass
@@ -105,62 +78,48 @@ class ResultTable:
 # --- experiment implementations ---------------------------------------------
 
 
-def _run_fig_noise(params: Mapping[str, Any]) -> list[tuple]:
-    grid = params.get("grid")
-    if grid is None:
-        grid = np.linspace(0.0, 2.0 * math.pi, 64)
+def _run_fig_noise(args: argparse.Namespace) -> list[tuple]:
     sizes = range(3, 11)
-    if len(sizes) * len(grid) > _MAX_SCAN_ROWS:
-        raise ExperimentError(
-            f"fig-noise on {len(grid)} grid points exceeds {_MAX_SCAN_ROWS} rows "
+    if len(sizes) * len(args.grid) > _MAX_SCAN_ROWS:
+        raise ValueError(
+            f"fig-noise on {len(args.grid)} grid points exceeds {_MAX_SCAN_ROWS} rows "
             f"({len(sizes)} chain sizes x grid points)"
         )
-    dists = [PhaseDistribution.flat(float(lam)) for lam in grid]
+    dists = [PhaseDistribution.flat(float(lam)) for lam in args.grid]
     lambdas, rows = [dist.param for dist in dists], []
     for n, (_, fidelity_of_mean, mean_fidelity) in zip(sizes, _overlap_rows(dists, sizes)):
         rows += zip(itertools.repeat(n), lambdas, fidelity_of_mean.tolist(), mean_fidelity.tolist())
     return rows
 
 
-def _run_fig_dephasing(params: Mapping[str, Any]) -> list[tuple]:
-    gamma = float(params.get("gamma", 0.062))
-    nmax = int(params.get("nmax", 25))
-    if nmax < 3:
-        raise ExperimentError("nmax must be >= 3")
+def _run_fig_dephasing(args: argparse.Namespace) -> list[tuple]:
+    if args.nmax < 3:
+        raise ValueError("nmax must be >= 3")
     families = ("w", "ghz", "linear_cluster", "square_cluster")
-    if len(families) * (nmax - 2) > _MAX_SCAN_ROWS:
-        raise ExperimentError(
-            f"fig-dephasing to nmax {nmax} exceeds {_MAX_SCAN_ROWS} rows "
+    if len(families) * (args.nmax - 2) > _MAX_SCAN_ROWS:
+        raise ValueError(
+            f"fig-dephasing to nmax {args.nmax} exceeds {_MAX_SCAN_ROWS} rows "
             f"({len(families)} families x N)"
         )
-    sizes = range(3, nmax + 1)
+    sizes, gamma = range(3, args.nmax + 1), args.gamma
     return [(fam, n, gamma, dephasing_fidelity(fam, n, gamma)) for fam in families for n in sizes]
 
 
-def _run_fig_cnot(params: Mapping[str, Any]) -> list[tuple]:
-    grid = params.get("grid")
-    if grid is None:
-        grid = np.linspace(0.1, 1.0, 10)
-    samples = int(params.get("samples", 2000))
-    seed = int(params.get("seed", 42))
+def _run_fig_cnot(args: argparse.Namespace) -> list[tuple]:
     rows = []
     for config in gate_configs():
         inputs = {site: CNOT_INPUT for site in config.input_sites}
-        for sigma in grid:
-            stats = gate_fidelity_mc(
-                config, inputs, PhaseDistribution.gaussian(float(sigma)), samples, seed
-            )
+        for sigma in args.grid:
+            dist = PhaseDistribution.gaussian(float(sigma))
+            stats = gate_fidelity_mc(config, inputs, dist, args.samples, args.seed)
             rows.append((config.name, float(sigma), stats.mean, stats.stderr, stats.n_samples))
     return rows
 
 
-def _run_concurrence_scan(params: Mapping[str, Any]) -> list[tuple]:
-    n = int(params.get("n", 5))
-    grid = params.get("grid")
-    if grid is None:
-        grid = np.linspace(0.1, 1.0, 10)
+def _run_concurrence_scan(args: argparse.Namespace) -> list[tuple]:
+    n, grid = args.n, args.grid
     if max(n, 0) * max(n - 1, 0) // 2 * len(grid) > _MAX_SCAN_ROWS:
-        raise ExperimentError(
+        raise ValueError(
             f"concurrence-scan of {n} sites on {len(grid)} grid points exceeds "
             f"{_MAX_SCAN_ROWS} rows (pairs x grid points)"
         )
@@ -171,28 +130,23 @@ def _run_concurrence_scan(params: Mapping[str, Any]) -> list[tuple]:
     return list(zip(itertools.repeat(n), sigma_column, firsts, seconds, concurrences, ppt))
 
 
-def _run_wire_scan(params: Mapping[str, Any]) -> list[tuple]:
-    sizes = params.get("sizes", (2, 4, 6, 8, 10))
-    sigma = float(params.get("sigma", 0.5))
-    samples = int(params.get("samples", 2000))
-    seed = int(params.get("seed", 42))
-    dist = PhaseDistribution.gaussian(sigma)
-    stats = [wire_fidelity_mc(int(n), InputQubit.plus(), dist, samples, seed) for n in sizes]
-    return [(int(n), sigma, s.mean, s.stderr) for n, s in zip(sizes, stats)]
+def _run_wire_scan(args: argparse.Namespace) -> list[tuple]:
+    dist = PhaseDistribution.gaussian(args.sigma)
+    stats = [
+        wire_fidelity_mc(n, InputQubit.plus(), dist, args.samples, args.seed) for n in args.sizes
+    ]
+    return [(n, args.sigma, s.mean, s.stderr) for n, s in zip(args.sizes, stats)]
 
 
-def _run_stabilizer_check(params: Mapping[str, Any]) -> list[tuple]:
-    path = params.get("graph")
-    if not path:
-        raise ExperimentError("stabilizer-check requires a graph file")
-    graph = load_graph(path)
+def _run_stabilizer_check(args: argparse.Namespace) -> list[tuple]:
+    graph = load_graph(args.graph)
     # the cluster with the declared kappa labels: a sigma_z flips the site's eigenvalue
     report = _cluster_stabilizers(graph)
     rows = []
     for site in graph.sites:
         expected = (-1.0) ** graph.kappa[site]
         eig = report.eigenvalues[site]
-        rows.append((site, eig, expected, abs(eig - expected) <= 1e-8))
+        rows.append((site, eig, expected, _stabilizer_ok(eig, expected)))
     return rows
 
 
@@ -230,13 +184,23 @@ _SUBCOMMANDS = {
 EXPERIMENT_KINDS = tuple(_SUBCOMMANDS)
 
 
-def run_experiment(spec: ExperimentSpec) -> ResultTable:
-    runner, columns, template = _SUBCOMMANDS[spec.kind]
-    rows = runner(spec.params)
-    meta = {"experiment": spec.kind, "version": f"noisycluster {__version__}"}
+def run_experiment(args: argparse.Namespace) -> ResultTable:
+    """The table of ``args.command`` from its parsed arguments (``build_parser``)."""
+    given = vars(args)
+    if "grid" in given and np.any(args.grid[1:] <= args.grid[:-1]):
+        raise ValueError("grid must be strictly increasing")
+    if "seed" in given and args.seed < 0:
+        raise ValueError("seed must be >= 0")
+    if "samples" in given and args.samples < 2:
+        raise ValueError("Monte Carlo needs at least 2 samples")
+    if "samples" in given and args.samples > _MAX_SAMPLES:
+        raise ValueError(f"Monte Carlo takes at most {_MAX_SAMPLES} samples")
+    runner, columns, template = _SUBCOMMANDS[args.command]
+    rows = runner(args)
+    meta = {"experiment": args.command, "version": f"noisycluster {__version__}"}
     for key in ("seed", "samples", "gamma", "sigma", "n", "nmax", "graph"):
-        if key in spec.params:
-            meta[key] = str(spec.params[key])
+        if key in given:
+            meta[key] = str(given[key])
     return ResultTable(columns=columns, template=template, rows=rows, metadata=meta)
 
 
@@ -279,65 +243,74 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every subcommand's options: the one place each default is declared (string
+    defaults go through the option's ``type``, as a command-line value does)."""
     parser = _Parser(prog="cluster-bench", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
-    def common(p: argparse.ArgumentParser, samples: bool = False) -> None:
-        p.add_argument("--seed", type=int, default=42, help="master RNG seed (default 42)")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
+    def command(name: str, summary: str, draws: bool = False) -> argparse.ArgumentParser:
+        # --seed and --samples only where the runner draws; the usage line lists --seed first
+        p = sub.add_parser(name, help=summary)
+        if draws:
+            p.add_argument(
+                "--seed", type=int, default=42, help="master RNG seed (default: %(default)s)"
+            )
+        p.add_argument("--out", help="output path instead of stdout")
         p.add_argument(
             "--no-meta",
             action="store_true",
             help="omit the timestamp metadata line for byte-stable output",
         )
-        if samples:
+        if draws:
             p.add_argument(
                 "--samples",
                 type=int,
                 default=2000,
-                help=f"Monte Carlo samples, 2 to {_MAX_SAMPLES} (default 2000)",
+                help=f"Monte Carlo samples, 2 to {_MAX_SAMPLES} (default: %(default)s)",
             )
+        return p
 
-    p = sub.add_parser("fig-noise", help="flat-noise chain overlap curves")
-    common(p)
-    p.add_argument("--grid", type=_parse_grid, default=None, help="lambda grid start:stop:steps")
+    def grid(p: argparse.ArgumentParser, name: str, default: str) -> None:
+        p.add_argument(
+            "--grid",
+            type=_parse_grid,
+            default=default,
+            help=f"{name} grid start:stop:steps (default: %(default)s)",
+        )
 
-    p = sub.add_parser("fig-dephasing", help="dephasing fidelity families")
-    common(p)
-    p.add_argument("--gamma", type=float, default=0.062, help="dephasing rate (default 0.062)")
-    p.add_argument("--nmax", type=int, default=25, help="largest N (default 25)")
+    p = command("fig-noise", "flat-noise chain overlap curves")
+    grid(p, "lambda", f"0:{2 * math.pi!r}:64")
 
-    p = sub.add_parser("fig-cnot", help="CNOT mean fidelity vs Gaussian sigma")
-    common(p, samples=True)
-    p.add_argument("--grid", type=_parse_grid, default=None, help="sigma grid start:stop:steps")
-
-    p = sub.add_parser("concurrence-scan", help="pair entanglement of averaged chains")
-    common(p)
-    p.add_argument("--n", type=int, default=5, help="chain length (default 5)")
-    p.add_argument("--grid", type=_parse_grid, default=None, help="sigma grid start:stop:steps")
-
-    p = sub.add_parser("wire-scan", help="transfer fidelity vs wire length")
-    common(p, samples=True)
-    p.add_argument("--sigma", type=float, default=0.5, help="Gaussian sigma (default 0.5)")
+    p = command("fig-dephasing", "dephasing fidelity families")
     p.add_argument(
-        "--sizes", type=_parse_sizes, default=(2, 4, 6, 8, 10), help="comma-separated wire sizes"
+        "--gamma", type=float, default=0.062, help="dephasing rate (default: %(default)s)"
+    )
+    p.add_argument("--nmax", type=int, default=25, help="largest N (default: %(default)s)")
+
+    p = command("fig-cnot", "CNOT mean fidelity vs Gaussian sigma", draws=True)
+    grid(p, "sigma", "0.1:1:10")
+
+    p = command("concurrence-scan", "pair entanglement of averaged chains")
+    p.add_argument("--n", type=int, default=5, help="chain length (default: %(default)s)")
+    grid(p, "sigma", "0.1:1:10")
+
+    p = command("wire-scan", "transfer fidelity vs wire length", draws=True)
+    p.add_argument(
+        "--sigma", type=float, default=0.5, help="Gaussian sigma (default: %(default)s)"
+    )
+    p.add_argument(
+        "--sizes",
+        type=_parse_sizes,
+        default="2,4,6,8,10",
+        help="comma-separated wire sizes (default: %(default)s)",
     )
 
-    p = sub.add_parser("stabilizer-check", help="verify correlation eigenvalues of a graph file")
-    common(p)
+    p = command("stabilizer-check", "verify correlation eigenvalues of a graph file")
     p.add_argument("--graph", required=True, help="graph description file")
 
     return parser
-
-
-def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    params: dict[str, Any] = {"seed": args.seed}
-    for key in ("grid", "gamma", "nmax", "samples", "n", "sigma", "sizes", "graph"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            params[key] = getattr(args, key)
-    return ExperimentSpec(kind=args.command, params=params)
 
 
 _cached_parser = functools.lru_cache(maxsize=1)(build_parser)
@@ -350,13 +323,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         # usage errors exit here with code 1 (_Parser.error), --help and --version with 0
         return exc.code if isinstance(exc.code, int) else 0
     try:
-        table = run_experiment(_spec_from_args(args))
+        table = run_experiment(args)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 table.write(fh, with_timestamp=not args.no_meta)
         else:
             table.write(sys.stdout, with_timestamp=not args.no_meta)
-    except (ExperimentError, OSError, ValueError, ArithmeticError) as exc:
+    except (OSError, ValueError, ArithmeticError) as exc:
         print(f"cluster-bench: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # numpy's names the allocation; a bare one says nothing

@@ -185,6 +185,11 @@ class StabilizerReport(NamedTuple):
     passed: bool
 
 
+def _stabilizer_ok(eigenvalue: float, expected: float) -> bool:
+    """The pass rule of one correlation eigenvalue; ``STABILIZER_ATOL`` is read per call."""
+    return abs(eigenvalue - expected) <= STABILIZER_ATOL
+
+
 def _correlation_expectation(state: PureState, graph: ClusterGraph, site: int) -> float:
     probe = apply_local(state, graph.position(site), PAULI_X)
     for nb in graph.neighbors(site):
@@ -202,10 +207,7 @@ def verify_stabilizers(state: PureState, graph: ClusterGraph) -> StabilizerRepor
     if state.num_qubits != graph.num_sites:
         raise ValueError("state size does not match graph")
     eigenvalues = {s: _correlation_expectation(state, graph, s) for s in graph.sites}
-    passed = all(
-        abs(eigenvalues[s] - (-1.0) ** graph.kappa[s]) <= STABILIZER_ATOL
-        for s in graph.sites
-    )
+    passed = all(_stabilizer_ok(eigenvalues[s], (-1.0) ** graph.kappa[s]) for s in graph.sites)
     return StabilizerReport(eigenvalues, passed)
 
 
@@ -221,7 +223,7 @@ def _cluster_stabilizers(graph: ClusterGraph) -> StabilizerReport:
         products[a] *= factor
         products[b] *= factor
     eigenvalues = {s: (-1.0) ** graph.kappa[s] * p.real for s, p in products.items()}
-    passed = all(abs(p.real - 1.0) <= STABILIZER_ATOL for p in products.values())
+    passed = all(_stabilizer_ok(eigenvalues[s], (-1.0) ** graph.kappa[s]) for s in graph.sites)
     return StabilizerReport(eigenvalues, passed)
 
 
@@ -472,6 +474,7 @@ def parse_graph(text: str) -> ClusterGraph:
     must follow its site's ``site`` line.
     """
     sites: list[int] = []
+    declared: set[int] = set()  # the labels of sites, for a kappa line's lookup
     edges: dict[tuple[int, int], float] = {}
     kappa: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -482,6 +485,7 @@ def parse_graph(text: str) -> ClusterGraph:
         try:
             if kind == "site" and len(args) == 1:
                 sites.append(int(args[0]))
+                declared.add(sites[-1])
             elif kind == "edge" and len(args) in (2, 3):
                 e = _normalize_edge(int(args[0]), int(args[1]))
                 if e in edges:
@@ -489,7 +493,7 @@ def parse_graph(text: str) -> ClusterGraph:
                 edges[e] = float(args[2]) if len(args) == 3 else 0.0
                 if not math.isfinite(edges[e]):
                     raise ValueError
-            elif kind == "kappa" and len(args) == 2 and int(args[0]) in sites:
+            elif kind == "kappa" and len(args) == 2 and int(args[0]) in declared:
                 kappa[int(args[0])] = int(args[1])
             else:
                 raise ValueError

@@ -100,12 +100,22 @@ class OverlapResult:
     mean_fidelity: float
 
     def __post_init__(self) -> None:
-        for name, v in (("fidelity_of_mean", self.fidelity_of_mean),
-                        ("mean_fidelity", self.mean_fidelity)):
-            if not -RANGE_ATOL <= v <= 1.0 + RANGE_ATOL:
-                raise ValueError(f"{name} = {v} outside [0, 1]")
-        if self.mean_fidelity < self.fidelity_of_mean - RANGE_ATOL:
-            raise ValueError("mean fidelity below fidelity of the mean")
+        _check_overlap_range(self.fidelity_of_mean, self.mean_fidelity)
+
+
+def _check_overlap_range(fidelity_of_mean, mean_fidelity) -> None:
+    """The range rule of one ``OverlapResult``, or of equal-length arrays of them: both
+    fidelities in [0, 1] and the mean fidelity not below the fidelity of the mean, each
+    to ``RANGE_ATOL``. The first bad entry raises its message; NaN fails."""
+    fid, mean, lo, hi = fidelity_of_mean, mean_fidelity, -RANGE_ATOL, 1.0 + RANGE_ATOL
+    ok = (fid >= lo) & (fid <= hi) & (mean >= lo) & (mean <= hi) & (mean >= fid - RANGE_ATOL)
+    if ok is True or np.all(ok):  # one result's floats give a bool, and skip numpy
+        return
+    k = np.argmin(ok)
+    for name, v in (("fidelity_of_mean", fid), ("mean_fidelity", mean)):
+        if not lo <= (v := np.ravel(v)[k].item()) <= hi:
+            raise ValueError(f"{name} = {v} outside [0, 1]")
+    raise ValueError("mean fidelity below fidelity of the mean")
 
 
 # Bit pairs (z, z') at index 2z + z'. From (p, q) to (r, s) an edge contributes
@@ -147,8 +157,8 @@ def _overlap_rows(
     dists: Sequence[PhaseDistribution], sizes: Sequence[int]
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """``overlap_scan`` as arrays: per size, the mean overlaps, fidelities of the mean and
-    mean fidelities over ``dists``, range-checked as a whole (the first bad entry is built
-    as an ``OverlapResult``, which raises), so the CLI builds no result object."""
+    mean fidelities over ``dists``, range-checked as a whole by ``OverlapResult``'s rule,
+    so the CLI builds no result object."""
     if any(n < 2 for n in sizes):
         raise ValueError("chain needs at least 2 sites")
     char = _char_rows(dists)
@@ -161,11 +171,8 @@ def _overlap_rows(
         v4 = (v4[:, :, None] * step4).sum(axis=1)
         if n in sizes:
             overlap, mean_fid = v2.sum(axis=1), v4.sum(axis=1)
-            fid, mean, atol = np.abs(overlap) ** 2, mean_fid.real, RANGE_ATOL
-            # OverlapResult's tests; fid >= 0, so a mean below -atol fails the last one
-            ok = (fid <= 1 + atol) & (mean <= 1 + atol) & (mean >= fid - atol)  # NaN fails
-            if not ok.all():  # the first bad entry raises its message
-                OverlapResult(*(a[np.argmin(ok)].item() for a in (overlap, fid, mean)))
+            fid, mean = np.abs(overlap) ** 2, mean_fid.real
+            _check_overlap_range(fid, mean)
             if not (imag := np.abs(mean_fid.imag)).max(initial=0.0) <= 1e-10:  # NaN fails too
                 raise ValueError(f"mean fidelity has imaginary part {imag.max():.3e}")
             results[n] = overlap, fid, mean

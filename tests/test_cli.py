@@ -2,22 +2,17 @@
 
 import argparse
 import io
+import itertools
 import math
 import os
+import re
 import sys
 
 import numpy as np
 import pytest
 
 from noisycluster import cli, clusters, oneway, phasenoise, states
-from noisycluster.cli import (
-    CNOT_INPUT,
-    ExperimentError,
-    ExperimentSpec,
-    ResultTable,
-    main,
-    run_experiment,
-)
+from noisycluster.cli import CNOT_INPUT, ResultTable, main, run_experiment
 from noisycluster.entanglement import pair_scan_grid
 from noisycluster.phasenoise import PhaseDistribution, dephasing_fidelity, overlap_scan
 
@@ -26,6 +21,21 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def parse(*argv):
+    """The parsed arguments of a command line, as ``main`` hands them to ``run_experiment``."""
+    return cli.build_parser().parse_args([str(arg) for arg in argv])
+
+
+def options(params):
+    """``{"n": 5}`` as the command-line options ``--n 5``."""
+    return itertools.chain.from_iterable((f"--{key}", value) for key, value in params.items())
+
+
+def grid_arg(grid):
+    """The ``--grid`` text whose ``np.linspace`` is the evenly spaced ``grid``."""
+    return f"{float(grid[0])!r}:{float(grid[-1])!r}:{len(grid)}"
 
 
 def data_rows(out, header):
@@ -320,15 +330,13 @@ def test_row_templates_equal_the_per_cell_chain_on_every_subcommand(tmp_path):
     graph = tmp_path / "chain.graph"
     graph.write_text("site 1\nsite 2\nsite 3\nedge 1 2\nedge 2 3\nkappa 2 1\n")
     # defaults, except fewer Monte Carlo samples: the row types are the same
-    params = {"fig-cnot": {"samples": 20}, "wire-scan": {"samples": 20}}
-    params["stabilizer-check"] = {"graph": str(graph)}
     for kind in cli.EXPERIMENT_KINDS:
-        table = run_experiment(ExperimentSpec(kind=kind, params=params.get(kind, {})))
+        table = run_experiment(parse(kind, *(a.format(graph=graph) for a in SMALL_ARGV[kind])))
         assert table.rows
         assert written(table).endswith("\n" + legacy_rows(table))
 
 
-ONE_POINT = cli._parse_grid("0.5:0.5:1")
+ONE_POINT = "0.5:0.5:1"
 
 
 @pytest.mark.parametrize(
@@ -336,7 +344,7 @@ ONE_POINT = cli._parse_grid("0.5:0.5:1")
     [
         ("fig-cnot", {"samples": 2}),
         ("fig-cnot", {"samples": 2, "grid": ONE_POINT}),
-        ("wire-scan", {"sizes": (2, 3, 7), "samples": 2}),
+        ("wire-scan", {"sizes": "2,3,7", "samples": 2}),
         ("concurrence-scan", {"n": 2}),
         ("concurrence-scan", {"grid": ONE_POINT}),
         ("fig-noise", {"grid": ONE_POINT}),
@@ -344,7 +352,7 @@ ONE_POINT = cli._parse_grid("0.5:0.5:1")
     ],
 )
 def test_row_templates_equal_the_per_cell_chain_off_the_defaults(kind, params):
-    table = run_experiment(ExperimentSpec(kind=kind, params=params))
+    table = run_experiment(parse(kind, *options(params)))
     assert table.rows
     assert written(table).endswith("\n" + legacy_rows(table))
 
@@ -353,7 +361,7 @@ def test_row_template_of_a_failed_stabilizer_check(tmp_path):
     # README's graph: the noisy edge moves the eigenvalues of sites 2 and 3 off their signs
     graph = tmp_path / "chain.graph"
     graph.write_text("site 1\nsite 2\nsite 3\nedge 1 2\nedge 2 3 0.25\nkappa 2 1\n")
-    table = run_experiment(ExperimentSpec(kind="stabilizer-check", params={"graph": str(graph)}))
+    table = run_experiment(parse("stabilizer-check", "--graph", graph))
     assert written(table).endswith("\n" + legacy_rows(table))
     assert [row.rsplit(",", 1)[1] for row in legacy_rows(table).splitlines()] == ["1", "0", "0"]
 
@@ -499,8 +507,8 @@ def test_fig_noise_rows_equal_overlap_scan_fields(grid):
         for n, results in zip(range(3, 11), overlap_scan(dists, range(3, 11)))
         for dist, res in zip(dists, results)
     ]
-    params = {} if grid is None else {"grid": grid}
-    assert run_experiment(ExperimentSpec("fig-noise", params)).rows == expect
+    argv = () if grid is None else ("--grid", grid_arg(grid))
+    assert run_experiment(parse("fig-noise", *argv)).rows == expect
 
 
 @pytest.mark.parametrize(
@@ -515,8 +523,8 @@ def test_concurrence_scan_rows_equal_pair_scan_grid_fields(n, grid):
         for sigma, scan in zip(sigmas, scans)
         for a in scan
     ]
-    params = {"n": n} if grid is None else {"n": n, "grid": grid}
-    assert run_experiment(ExperimentSpec("concurrence-scan", params)).rows == expect
+    argv = ("--n", n) if grid is None else ("--n", n, "--grid", grid_arg(grid))
+    assert run_experiment(parse("concurrence-scan", *argv)).rows == expect
 
 
 @pytest.mark.parametrize("argv", [("--n", "100000"), ("--n", "5", "--grid", "0:1:100001")])
@@ -540,9 +548,10 @@ def test_concurrence_scan_row_limit_is_inclusive(monkeypatch):
 
     monkeypatch.setattr(cli, "_pair_grid", empty_scan)
     # 10 pairs of a 5-site chain
-    assert cli._run_concurrence_scan({"n": 5, "grid": np.zeros(cli._MAX_SCAN_ROWS // 10)}) == []
-    with pytest.raises(ExperimentError, match="rows"):
-        cli._run_concurrence_scan({"n": 5, "grid": np.zeros(cli._MAX_SCAN_ROWS // 10 + 1)})
+    steps = cli._MAX_SCAN_ROWS // 10
+    assert cli._run_concurrence_scan(parse("concurrence-scan", "--grid", f"0:1:{steps}")) == []
+    with pytest.raises(ValueError, match="rows"):
+        cli._run_concurrence_scan(parse("concurrence-scan", "--grid", f"0:1:{steps + 1}"))
     assert seen == [cli._MAX_SCAN_ROWS // 10]
     # --n 400 on the default grid, which runs, stays under the limit
     assert 400 * 399 // 2 * 10 <= cli._MAX_SCAN_ROWS
@@ -571,8 +580,8 @@ def test_fig_noise_row_limit_is_inclusive(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "fig-noise", "--grid", "0:1:125000", "--no-meta")
     assert (code, err) == (0, "") and out.endswith("N,lambda,fidelity_of_mean,mean_fidelity\n")
     assert seen == [(125000, 8)] and 8 * 125000 == cli._MAX_SCAN_ROWS
-    with pytest.raises(ExperimentError, match="rows"):
-        cli._run_fig_noise({"grid": np.zeros(125001)})
+    with pytest.raises(ValueError, match="rows"):
+        cli._run_fig_noise(parse("fig-noise", "--grid", "0:1:125001"))
     assert len(seen) == 1
 
 
@@ -626,9 +635,9 @@ def test_fig_dephasing_refuses_oversized_tables_up_front(capsys, monkeypatch):
 
 def test_fig_dephasing_row_limit_is_inclusive(monkeypatch):
     monkeypatch.setattr(cli, "_MAX_SCAN_ROWS", 12)
-    assert len(cli._run_fig_dephasing({"nmax": 5})) == 12
-    with pytest.raises(ExperimentError, match="exceeds 12 rows"):
-        cli._run_fig_dephasing({"nmax": 6})
+    assert len(cli._run_fig_dephasing(parse("fig-dephasing", "--nmax", 5))) == 12
+    with pytest.raises(ValueError, match="exceeds 12 rows"):
+        cli._run_fig_dephasing(parse("fig-dephasing", "--nmax", 6))
 
 
 @pytest.mark.parametrize("command", ["wire-scan", "fig-cnot"])
@@ -731,6 +740,18 @@ def test_stabilizer_check_runs_past_the_dense_register_cap(tmp_path, capsys):
     assert all(r[3] == "1" for r in rows)
 
 
+def test_stabilizer_check_ok_cells_follow_the_library_tolerance(tmp_path, capsys, monkeypatch):
+    # README's graph: sites 2 and 3 sit 0.0155 off their signs, through the noisy edge
+    graph = tmp_path / "chain.graph"
+    graph.write_text("site 1\nsite 2\nsite 3\nedge 1 2\nedge 2 3 0.25\nkappa 2 1\n")
+    for atol, cells, passed in ((1e-8, ["1", "0", "0"], False), (0.1, ["1", "1", "1"], True)):
+        monkeypatch.setattr(clusters, "STABILIZER_ATOL", atol)
+        code, out, _ = run_cli(capsys, "stabilizer-check", "--graph", str(graph), "--no-meta")
+        assert code == 0
+        assert [r[3] for r in data_rows(out, "site,eigenvalue,expected,ok")] == cells
+        assert clusters._cluster_stabilizers(clusters.load_graph(str(graph))).passed is passed
+
+
 # each subcommand at its defaults, with fewer Monte Carlo samples
 SMALL_ARGV = {
     "fig-noise": (),
@@ -760,28 +781,82 @@ def test_no_subcommand_builds_a_state_vector(tmp_path, capsys, monkeypatch, kind
     assert err == "" and out
 
 
+# the options whose defaults --help shows, each declared once on its option
+SHOWN_DEFAULTS = {
+    "fig-noise": ["--grid"],
+    "fig-dephasing": ["--gamma", "--nmax"],
+    "fig-cnot": ["--seed", "--samples", "--grid"],
+    "concurrence-scan": ["--n", "--grid"],
+    "wire-scan": ["--seed", "--samples", "--sigma", "--sizes"],
+    "stabilizer-check": [],
+}
+
+
+@pytest.mark.parametrize("kind", cli.EXPERIMENT_KINDS)
+def test_defaults_written_out_as_help_shows_them_change_nothing(
+    tmp_path, capsys, monkeypatch, kind
+):
+    calls = []
+
+    def draws(first, *args):  # the Monte Carlo's arguments, recorded instead of drawn
+        calls.append((getattr(first, "name", first), *args[-3:]))
+        return oneway.SampleStats(args[-3].param, 0.0, args[-2], args[-1])
+
+    monkeypatch.setattr(cli, "gate_fidelity_mc", draws)
+    monkeypatch.setattr(cli, "wire_fidelity_mc", draws)
+    # README's graph, for the one required option
+    graph = tmp_path / "chain.graph"
+    graph.write_text("site 1\nsite 2\nsite 3\nedge 1 2\nedge 2 3 0.25\nkappa 2 1\n")
+    required = ("--graph", str(graph)) if kind == "stabilizer-check" else ()
+    code, text, _ = run_cli(capsys, kind, "--help")
+    assert code == 0
+    help_text = " ".join(text.split())  # argparse wraps at the terminal width
+    shown = re.findall(r"(--[a-z-]+) [A-Z]+ (?:(?!--)[^()])*\(default: ([^)]*)\)", help_text)
+    assert [option for option, _ in shown] == SHOWN_DEFAULTS[kind]
+    code, bare, err = run_cli(capsys, kind, *required, "--no-meta")
+    assert (code, err) == (0, "")
+    bare_calls, calls[:] = calls[:], []
+    code, written_out, err = run_cli(
+        capsys, kind, *required, *itertools.chain.from_iterable(shown), "--no-meta"
+    )
+    assert (code, err) == (0, "")
+    assert written_out == bare and calls == bare_calls
+    assert len(calls) == {"fig-cnot": 30, "wire-scan": 5}.get(kind, 0)
+
+
+@pytest.mark.parametrize(
+    "kind", ["fig-noise", "fig-dephasing", "concurrence-scan", "stabilizer-check"]
+)
+def test_exact_subcommands_take_no_seed(tmp_path, capsys, kind):
+    graph = tmp_path / "chain.graph"
+    graph.write_text("site 1\nsite 2\nedge 1 2\n")
+    required = ("--graph", str(graph)) if kind == "stabilizer-check" else ()
+    code, out, err = run_cli(capsys, kind, *required, "--seed", "42")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: cluster-bench ")
+    assert err.endswith("error: unrecognized arguments: --seed 42\n")
+    assert "Traceback" not in err
+
+
 # --- python-level entry points -----------------------------------------------
 
 
 def test_experiment_spec_validation():
-    with pytest.raises(ExperimentError):
-        ExperimentSpec(kind="nope", params={})
-    with pytest.raises(ExperimentError):
-        ExperimentSpec(kind="fig-noise", params={"grid": np.array([])})
-    with pytest.raises(ExperimentError):
-        ExperimentSpec(kind="fig-noise", params={"grid": np.array([1.0, 0.5])})
-    with pytest.raises(ExperimentError):
-        ExperimentSpec(kind="fig-cnot", params={"samples": 1})
+    # the checks of the parsed arguments that argparse's types leave to run_experiment
+    with pytest.raises(ValueError, match="^grid must be strictly increasing$"):
+        run_experiment(parse("fig-noise", "--grid", "1:0.5:2"))
+    with pytest.raises(ValueError, match="^Monte Carlo needs at least 2 samples$"):
+        run_experiment(parse("fig-cnot", "--samples", 1))
 
 
 def test_run_experiment_metadata_passthrough():
-    table = run_experiment(
-        ExperimentSpec(kind="fig-dephasing", params={"gamma": 0.1, "nmax": 3, "seed": 7})
-    )
+    table = run_experiment(parse("fig-dephasing", "--gamma", 0.1, "--nmax", 3))
     assert table.metadata["experiment"] == "fig-dephasing"
     assert table.metadata["gamma"] == "0.1"
     assert table.metadata["nmax"] == "3"
-    assert table.metadata["seed"] == "7"
+    assert "seed" not in table.metadata  # nothing is drawn
+    table = run_experiment(parse("wire-scan", "--seed", 7, "--samples", 2, "--sizes", 2))
+    assert (table.metadata["seed"], table.metadata["samples"]) == ("7", "2")
     buffer = io.StringIO()
     table.write(buffer, with_timestamp=False)
     assert buffer.getvalue().count("\n") == len(table.rows) + len(table.metadata) + 1

@@ -430,7 +430,8 @@ def test_fig_noise_rows_are_the_overlap_scan_fields():
             for n, results in zip(range(3, 11), overlap_scan(dists, range(3, 11)))
             for dist, r in zip(dists, results)
         ]
-        rows = cli._run_fig_noise({} if grid is None else {"grid": grid})
+        argv = ["fig-noise"] if grid is None else ["fig-noise", "--grid", "0:50:997"]
+        rows = cli._run_fig_noise(cli.build_parser().parse_args(argv))
         assert rows == expect
         assert {tuple(map(type, row)) for row in rows} == {(int, float, float, float)}
 
@@ -473,7 +474,7 @@ def test_fig_noise_table_matches_matrix_power_oracle():
         for lam in grid
         for res in [overlap_avg_matrix_power(PhaseDistribution.flat(float(lam)), n)]
     ]
-    table = cli.run_experiment(cli.ExperimentSpec("fig-noise", {}))
+    table = cli.run_experiment(cli.build_parser().parse_args(["fig-noise"]))
     expect, got = io.StringIO(), io.StringIO()
     cli.ResultTable(table.columns, table.template, oracle).write(expect, with_timestamp=False)
     cli.ResultTable(table.columns, table.template, table.rows).write(got, with_timestamp=False)

@@ -126,10 +126,10 @@ def pieces() -> dict:
     out["overlap_scan"] = ("the same, as OverlapResult objects", 1,
                            lambda: phasenoise.overlap_scan(lambdas, range(3, 11)))
     # the CSV writer on two CLI tables, written into memory
-    for name, kind, params in (("write.fig_noise", "fig-noise", {}),
-                               ("write.concurrence_scan_n10", "concurrence-scan", {"n": 10})):
-        table = cli.run_experiment(cli.ExperimentSpec(kind, params))
-        out[name] = (f"ResultTable.write of the {kind} table ({len(table.rows)} rows)", 1,
+    for name, argv in (("write.fig_noise", ["fig-noise"]),
+                       ("write.concurrence_scan_n10", ["concurrence-scan", "--n", "10"])):
+        table = cli.run_experiment(cli.build_parser().parse_args(argv))
+        out[name] = (f"ResultTable.write of the {argv[0]} table ({len(table.rows)} rows)", 1,
                      lambda t=table: t.write(io.StringIO(), with_timestamp=False))
     out["chain_exact_round"] = ("the five chain-exact argvs through cli.main, into memory", 1,
                                 chain_exact_round)
