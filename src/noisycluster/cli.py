@@ -208,12 +208,19 @@ def run_experiment(args: argparse.Namespace) -> ResultTable:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse maps usage errors to exit code 2; the contract here is 1."""
+    """argparse maps usage errors to exit code 2; the contract here is 1. Each parser
+    refuses what it does not take, so a subcommand's error shows its own usage line."""
 
     def error(self, message: str) -> NoReturn:
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def _parse_grid(text: str) -> np.ndarray:

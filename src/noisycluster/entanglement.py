@@ -229,13 +229,15 @@ def sampled_mean_concurrence(
     This is the average concurrence of the per-realization reduced states,
     as opposed to ``concurrence(averaged_pair_state(...))``, the concurrence
     of the averaged state; the two differ in general. Sample k reads its edge
-    phases from row k of ``phasenoise._seeded_rows``.
+    phases from row k of ``phasenoise._seeded_rows``, which must be finite.
     """
     _check_pair(n, pair)
     if n_samples < 1:
         raise ValueError("need at least one sample")
     total = 0.0
     for row in _seeded_rows(dist, n - 1, n_samples, seed):
+        if not np.isfinite(row).all():  # an infinite draw would turn to NaN in np.exp
+            raise ValueError("edge phases must be finite")
         transfers = _edge_tables(np.exp(1j * np.multiply.outer(row, (-1, 0, 1))), "doubled")
         total += concurrence(DensityMatrix(2, _pair_states(n, transfers[None], [pair])[0, 0]))
     return total / n_samples

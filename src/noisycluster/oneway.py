@@ -39,6 +39,7 @@ from .states import (
     PAULI_X,
     PAULI_Z,
     PureState,
+    _born_outcome,
     apply_local,
     measure,
     phase_z,
@@ -250,7 +251,8 @@ def config_cnot16_bridged() -> GateConfig:
     leaves a z8 = z12 parity constraint that no local frame can remove, so
     it cannot retrieve the plain squashed-I cluster). Those phase gates are
     folded into the later measurements of 8 and 12, whose bases turn by
-    pi/2; the other 13 steps are the 15-site pattern's. Postselect-only.
+    pi/2; the other 13 steps, the outputs, inputs, ideal gate and output frame
+    are the 15-site pattern's. Postselect-only.
     """
     base = config_cnot15()
     # Y-measuring the bridge with outcome 0 leaves S^dagger = SSS on sites 8 and 12
@@ -260,19 +262,9 @@ def config_cnot16_bridged() -> GateConfig:
         (site, MeasurementBasis.planar(b.alpha + math.pi / 2) if site in (8, 12) else b)
         for site, b in base.pattern.steps
     )
-    pattern = MeasurementPattern(
-        steps=steps,
-        outputs=(7, 15),
-        decoding={(0,) * len(steps): _SQUASHED_I_DECODING},
-    )
-    return GateConfig(
-        name="cnot16_bridged",
-        graph=_bridged_graph(),
-        input_sites=(1, 9),
-        pattern=pattern,
-        ideal_gate=cnot_matrix(control=1, target=2),
-        output_frame=(IDENTITY_2, IDENTITY_2),
-    )
+    decoding = {(0,) * len(steps): _SQUASHED_I_DECODING}
+    pattern = replace(base.pattern, steps=steps, decoding=decoding)
+    return replace(base, name="cnot16_bridged", graph=_bridged_graph(), pattern=pattern)
 
 
 def gate_configs() -> tuple[GateConfig, ...]:
@@ -465,14 +457,16 @@ def gate_fidelity_mc(
 # the inverse wire byproduct, Z^e H Z^o for n even and Z^e X^o for n odd (Raussendorf,
 # Browne & Briegel, PRA 68, 022312, 2003); tests re-derive every word by Clifford search.
 _WIRE_FRAMES = {
-    (0, 0, 0): "H", (0, 1, 0): "SSH", (0, 0, 1): "HSS", (0, 1, 1): "SSHSS",
-    (1, 0, 0): "I", (1, 1, 0): "SS", (1, 0, 1): "HSSH", (1, 1, 1): "SSHSSH",
+    key: LocalCorrection((1,), (word,), (dict(clifford_group_1q())[word],))
+    for key, word in {
+        (0, 0, 0): "H", (0, 1, 0): "SSH", (0, 0, 1): "HSS", (0, 1, 1): "SSHSS",
+        (1, 0, 0): "I", (1, 1, 0): "SS", (1, 0, 1): "HSSH", (1, 1, 1): "SSHSSH",
+    }.items()
 }
 
 
 def _wire_correction(n: int, outcomes: tuple[int, ...]) -> LocalCorrection:
-    name = _WIRE_FRAMES[n % 2, sum(outcomes[0::2]) % 2, sum(outcomes[1::2]) % 2]
-    return LocalCorrection((1,), (name,), (next(m for w, m in clifford_group_1q() if w == name),))
+    return _WIRE_FRAMES[n % 2, sum(outcomes[0::2]) % 2, sum(outcomes[1::2]) % 2]
 
 
 def _wire_kernel(
@@ -480,35 +474,39 @@ def _wire_kernel(
     thetas: Sequence[float],
     forced: tuple[int, ...] | None,
     rng: np.random.Generator | None,
-    frame: LocalCorrection | None = None,
 ) -> tuple[np.ndarray, float]:
-    """The wire in complex scalars: outcome s leaves the neighbor of the measured head
-    in 1/2 [v0 + (-1)^s v1, v0 - (-1)^s e^{i theta} v1]; then ``frame``, or else the
-    frozen frame of the realized outcomes. Returns amplitudes and |<input|output>|^2."""
+    """The wire in complex scalars: outcome s, forced or drawn as ``states.measure`` draws
+    it, leaves the measured head's neighbor in 1/2 [v0 + (-1)^s v1, v0 - (-1)^s e^{i theta}
+    v1]; then the frame of the realized outcomes. Returns amplitudes and |<input|output>|^2."""
     v0, v1 = complex(qubit.amp0), complex(qubit.amp1)
     cos, sin, sqrt = math.cos, math.sin, math.sqrt
     realized = []
-    for theta, out in zip(thetas, itertools.repeat(None) if forced is None else forced):
-        phase_v1 = complex(cos(theta), sin(theta)) * v1
-        w0, w1 = 0.5 * (v0 + v1), 0.5 * (v0 - phase_v1)
-        p0 = (abs(w0) ** 2 + abs(w1) ** 2) / (abs(v0) ** 2 + abs(v1) ** 2)
-        p0 = 0.0 if p0 < 0.0 else 1.0 if p0 > 1.0 else p0  # NaN stays NaN
-        if out is None:
-            out = 0 if rng.random() < p0 else 1
-        prob = p0 if out == 0 else 1.0 - p0
-        if prob < FORCE_PROB_ATOL:
-            raise ValueError(f"outcome {out} has probability {prob:.3e}, cannot realize")
-        if out:
-            w0, w1 = 0.5 * (v0 - v1), 0.5 * (v0 + phase_v1)
-        norm = sqrt(prob)
-        v0, v1 = w0 / norm, w1 / norm
-        realized.append(out)
-    frame = frame or _wire_correction(len(thetas) + 1, tuple(realized))
-    (g00, g01), (g10, g11) = frame.matrices[0].tolist()
-    c0, c1 = g00 * v0 + g01 * v1, g10 * v0 + g11 * v1
-    for norm in (abs(v0) ** 2 + abs(v1) ** 2, abs(c0) ** 2 + abs(c1) ** 2):
-        if not abs(norm - 1.0) <= NORM_ATOL:  # NaN fails too
-            raise ValueError(f"state not normalized: |amp|^2 = {norm}")
+    try:
+        for theta, out in zip(thetas, itertools.repeat(None) if forced is None else forced):
+            phase_v1 = complex(cos(theta), sin(theta)) * v1
+            w0, w1 = 0.5 * (v0 + v1), 0.5 * (v0 - phase_v1)
+            p0 = (abs(w0) ** 2 + abs(w1) ** 2) / (abs(v0) ** 2 + abs(v1) ** 2)
+            p0 = 0.0 if p0 < 0.0 else 1.0 if p0 > 1.0 else p0  # NaN stays NaN
+            if out is None:
+                out = _born_outcome(rng, p0)
+            prob = p0 if out == 0 else 1.0 - p0
+            if prob < FORCE_PROB_ATOL:
+                raise ValueError(f"outcome {out} has probability {prob:.3e}, cannot realize")
+            if out:
+                w0, w1 = 0.5 * (v0 - v1), 0.5 * (v0 + phase_v1)
+            norm = sqrt(prob)
+            v0, v1 = w0 / norm, w1 / norm
+            realized.append(out)
+        frame = _wire_correction(len(thetas) + 1, tuple(realized))
+        (g00, g01), (g10, g11) = frame.matrices[0].tolist()
+        c0, c1 = g00 * v0 + g01 * v1, g10 * v0 + g11 * v1
+        for norm in (abs(v0) ** 2 + abs(v1) ** 2, abs(c0) ** 2 + abs(c1) ** 2):
+            if not abs(norm - 1.0) <= NORM_ATOL:  # NaN fails too
+                raise ValueError(f"state not normalized: |amp|^2 = {norm}")
+    except ValueError:  # math.cos fails on an infinite phase, and a NaN one unnormalizes
+        if all(map(math.isfinite, thetas)):
+            raise
+        raise ValueError("edge phases must be finite") from None
     amplitudes = np.array([c0, c1])
     return amplitudes, float(abs(np.vdot(qubit.as_array(), amplitudes)) ** 2)
 
@@ -536,16 +534,8 @@ def wire_transfer(
     if len(thetas) != n - 1:
         raise ValueError(f"expected {n - 1} thetas")
     forced = _forced_outcomes(outcomes, n - 1, rng)
-    try:
-        amplitudes, fid = _wire_kernel(input_qubit, thetas, forced, rng)
-    except ValueError as exc:  # math.cos fails on an infinite phase, NaN unnormalizes
-        raise _wire_error(exc, thetas)
+    amplitudes, fid = _wire_kernel(input_qubit, thetas, forced, rng)
     return PureState(1, amplitudes), fid
-
-
-def _wire_error(exc: ValueError, thetas: Sequence[float]) -> ValueError:
-    """The error of a failed wire run: ``exc``, or a non-finite phase that it hides."""
-    return exc if np.isfinite(thetas).all() else ValueError("edge phases must be finite")
 
 
 def wire_fidelity_mc(
@@ -561,12 +551,8 @@ def wire_fidelity_mc(
         raise ValueError("wire needs at least 2 sites")
     _check_sample_count(n_samples)
     zeros, values = (0,) * (n - 1), np.empty(n_samples)
-    frame = _wire_correction(n, zeros)  # every sample takes the all-zero branch
     for k, row in enumerate(_seeded_rows(dist, n - 1, n_samples, master_seed)):
-        try:
-            values[k] = _wire_kernel(input_qubit, row.tolist(), zeros, None, frame)[1]
-        except ValueError as exc:
-            raise _wire_error(exc, row)
+        values[k] = _wire_kernel(input_qubit, row.tolist(), zeros, None)[1]
     return _stats_from_samples(values, master_seed)
 
 

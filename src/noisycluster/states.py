@@ -248,6 +248,14 @@ def apply_cphase(state: PureState, qubit_a: int, qubit_b: int, theta: float = 0.
     return PureState(n, v.reshape(-1))
 
 
+def _born_outcome(rng: np.random.Generator, p0: float) -> int:
+    """One draw, 0 with probability ``p0``; it never lands below ``FORCE_PROB_ATOL``."""
+    outcome = 0 if rng.random() < p0 else 1
+    if (p0, 1.0 - p0)[outcome] < FORCE_PROB_ATOL:
+        outcome ^= 1
+    return outcome
+
+
 def measure(
     state: PureState,
     qubit: int,
@@ -258,9 +266,9 @@ def measure(
 ) -> MeasurementResult:
     """Projective measurement; the measured qubit is removed from the register.
 
-    Exactly one of ``force`` (demand an outcome) and ``rng`` (sample per Born
-    rule) must be given. Forcing an outcome whose probability is below 1e-12
-    is an error.
+    Exactly one of ``force`` (demand an outcome) and ``rng`` (one Born draw)
+    must be given. Forcing an outcome of probability below 1e-12 is an error; a
+    draw that falls on one takes the other outcome.
     """
     n = state.num_qubits
     _check_qubit(n, qubit)
@@ -282,10 +290,7 @@ def measure(
 
     p0 = float(np.vdot(comp0, comp0).real)
     p0 = min(max(p0, 0.0), 1.0)
-    if force is not None:
-        outcome = force
-    else:
-        outcome = 0 if rng.random() < p0 else 1
+    outcome = _born_outcome(rng, p0) if force is None else force
     prob = p0 if outcome == 0 else 1.0 - p0
     if prob < FORCE_PROB_ATOL:
         raise ValueError(f"outcome {outcome} has probability {prob:.3e}, cannot realize")

@@ -833,9 +833,21 @@ def test_exact_subcommands_take_no_seed(tmp_path, capsys, kind):
     required = ("--graph", str(graph)) if kind == "stabilizer-check" else ()
     code, out, err = run_cli(capsys, kind, *required, "--seed", "42")
     assert (code, out) == (1, "")
-    assert err.startswith("usage: cluster-bench ")
-    assert err.endswith("error: unrecognized arguments: --seed 42\n")
+    assert err.startswith(f"usage: cluster-bench {kind} [-h] ")
+    assert err.endswith(f"\ncluster-bench {kind}: error: unrecognized arguments: --seed 42\n")
     assert "Traceback" not in err
+
+
+def test_an_option_of_another_subcommand_is_a_usage_error_of_this_one(capsys):
+    code, out, err = run_cli(capsys, "wire-scan", "--nmax", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: cluster-bench wire-scan [-h] ")
+    assert err.endswith("\ncluster-bench wire-scan: error: unrecognized arguments: --nmax 3\n")
+    # an unknown option before the subcommand is still the top-level parser's
+    code, out, err = run_cli(capsys, "--no-meta", "fig-noise")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: cluster-bench [-h] [--version] command ...\n")
+    assert err.endswith("\ncluster-bench: error: unrecognized arguments: --no-meta\n")
 
 
 # --- python-level entry points -----------------------------------------------

@@ -594,6 +594,12 @@ def test_sampled_mean_concurrence_guard():
         sampled_mean_concurrence(4, d, (0, 2), 5, seed=1)
 
 
+def test_sampled_mean_concurrence_refuses_non_finite_draws():
+    # most draws overflow to inf; the row is refused before np.exp would turn it to NaN
+    with pytest.raises(ValueError, match="^edge phases must be finite$"):
+        sampled_mean_concurrence(8, PhaseDistribution.gaussian(1e308), (1, 2), 50, 3)
+
+
 # values of the per-entry walk the pair states were computed by before the
 # environment contraction
 SAMPLED_MEANS = [

@@ -1,6 +1,7 @@
 """Tests for measurement-based gate patterns, wires and their Monte Carlo."""
 
 import dataclasses
+import functools
 import importlib.util
 import itertools
 import math
@@ -745,6 +746,47 @@ def test_wire_kernel_norm_guard_keeps_its_message():
         wire_transfer(3, q, [0.2, 0.4])
     with pytest.raises(ValueError, match=r"^state not normalized: \|amp\|\^2 = "):
         wire_fidelity_mc(3, q, PhaseDistribution.gaussian(0.5), 2, SEED)
+
+
+class FixedDraw:
+    """A stand-in rng: every ``random()`` returns ``u``; the calls are counted."""
+
+    def __init__(self, u):
+        self.u, self.draws = u, 0
+
+    def random(self):
+        self.draws += 1
+        return self.u
+
+
+# an edge phase that nearly switches the edge off: X-measuring |+> (|->) across it
+# gives outcome 1 (0) with probability (1 - cos(pi - theta)) / 4 = 1e-13, too rare to realize
+NEAR_OFF = math.pi - math.acos(1.0 - 4e-13)
+
+
+@pytest.mark.parametrize("rare", [0, 1])
+@pytest.mark.parametrize("route", ["measure", "run_gate", "wire_transfer"])
+def test_born_sampling_never_draws_an_unrealizable_outcome(route, rare, monkeypatch):
+    """A draw that falls on the rare outcome takes the other one, still with one
+    ``rng.random()`` per measured site; forcing the rare outcome still raises."""
+    qubit = InputQubit.minus() if rare == 0 else InputQubit.plus()
+    draw = FixedDraw(0.0 if rare == 0 else math.nextafter(1.0, 0.0))
+    if route == "measure":
+        state = build_cluster(chain_graph(2, [NEAR_OFF]), {1: qubit})
+        outcomes = (measure(state, 1, MeasurementBasis.x(), rng=draw).outcome,)
+        force = functools.partial(measure, state, 1, MeasurementBasis.x(), force=rare)
+    elif route == "run_gate":
+        config, thetas = config_cnot4(), {(1, 2): NEAR_OFF}
+        inputs = {1: qubit, 3: InputQubit.plus()}
+        outcomes = run_gate(config, inputs, thetas, outcomes="sample", rng=draw).outcomes
+        force = functools.partial(run_gate, config, inputs, thetas, outcomes=(rare, 0))
+    else:
+        outcomes = kernel_wire(2, qubit, [NEAR_OFF], "sample", draw, monkeypatch)[0]
+        force = functools.partial(wire_transfer, 2, qubit, [NEAR_OFF], outcomes=(rare,))
+    assert outcomes[0] == 1 - rare
+    assert draw.draws == len(outcomes)
+    with pytest.raises(ValueError, match=PROBABILITY_MESSAGE.format(rare)):
+        force()
 
 
 def refuse_search_and_count_states(monkeypatch):

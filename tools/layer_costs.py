@@ -6,7 +6,9 @@ The per-layer pass times one call of each engine piece in this process: each
 piece is called once to warm up, then ``--repeat`` times in a loop of as many
 calls as fit in ``--budget`` seconds; the median and minimum per-call times are
 recorded. The Monte Carlo pieces are reported per sample, from calls of
-``MC_SAMPLES`` samples. The process pass runs each ``cluster-bench``
+``MC_SAMPLES`` samples. The seed stream alone, ``phasenoise._seeded_rows``
+(Gaussian 0.5, width 19), is timed the same way per row and recorded beside
+the layers as ``seeded_row``. The process pass runs each ``cluster-bench``
 subcommand at its defaults, and ``stabilizer-check`` on a 4 x 5 grid as well
 (``--no-meta``, output discarded), ``--repeat`` times in a fresh interpreter
 and records its wall and CPU time. The file
@@ -30,6 +32,7 @@ for _var in THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 import argparse
+import collections
 import contextlib
 import importlib.util
 import io
@@ -136,6 +139,14 @@ def pieces() -> dict:
     return out
 
 
+def seeded_row_piece() -> tuple:
+    """(what, rows per timed call, callable): the seed stream every Monte Carlo
+    estimate reads, one row of a ``MC_SAMPLES``-row stream at a time."""
+    gauss, rows = phasenoise.PhaseDistribution.gaussian(0.5), phasenoise._seeded_rows
+    return ("phasenoise._seeded_rows, Gaussian 0.5, width 19, per row", MC_SAMPLES,
+            lambda: collections.deque(rows(gauss, 19, MC_SAMPLES, 42), maxlen=0))
+
+
 def chain_exact_round() -> None:
     for argv in CHAIN_EXACT:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -176,13 +187,17 @@ def calibration_s(run) -> float:
     return statistics.median(run.calibration_s() for _ in range(CALIBRATION_CALLS))
 
 
+def timed(piece: tuple, repeat: int, budget: float) -> dict:
+    """A piece's entry: what it is and, if the package has it, its per-call times."""
+    what, per_call, fn = piece
+    entry = {"what": what, "ms": None}
+    if fn is not None:
+        entry.update(time_call(fn, per_call, repeat, budget))
+    return entry
+
+
 def layer_pass(repeat: int, budget: float) -> dict:
-    out = {}
-    for name, (what, per_call, fn) in pieces().items():
-        out[name] = {"what": what, "ms": None}
-        if fn is not None:
-            out[name].update(time_call(fn, per_call, repeat, budget))
-    return out
+    return {name: timed(piece, repeat, budget) for name, piece in pieces().items()}
 
 
 def children_cpu_s() -> float:
@@ -233,6 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     before = calibration_s(run)
     record["layers"] = layer_pass(args.repeat, args.budget)
+    record["seeded_row"] = timed(seeded_row_piece(), args.repeat, args.budget)
     record["calibration"] = {
         "ref_s": run.CALIBRATION_REF_S,
         "before_s": before,
