@@ -147,10 +147,10 @@ def overlap_exact(thetas: Sequence[float]) -> complex:
     if not np.isfinite(thetas).all():  # np.exp would warn and turn the overlap into NaN
         raise ValueError("edge phases must be finite")
     char = np.exp(1j * np.multiply.outer(thetas, (-1, 0, 1)))
-    u = v = np.ones(2, dtype=complex)
-    for m in np.ascontiguousarray(_edge_tables(char, "overlap")):
+    u, v = np.ones(2, dtype=complex), np.full(2, 0.5 + 0j)  # 1/2 per site: no 2**-n to overflow
+    for m in np.ascontiguousarray(0.5 * _edge_tables(char, "overlap")):
         v = m.T @ v  # left-to-right product u^T M_1 ... M_j
-    return complex(u @ v) / 2.0**n
+    return complex(u @ v)
 
 
 def _overlap_rows(

@@ -35,6 +35,8 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 
 def phase_z(phi: float) -> np.ndarray:
     """diag(1, e^{i phi}) single-qubit phase gate."""
+    if not math.isfinite(phi):
+        raise ValueError(f"phase angle phi = {phi} must be finite")
     return np.array([[1.0, 0.0], [0.0, np.exp(1j * phi)]], dtype=complex)
 
 
@@ -169,6 +171,8 @@ class MeasurementBasis:
     def __post_init__(self) -> None:
         if self.axis not in ("planar", "z"):
             raise ValueError(f"unknown measurement axis {self.axis!r}")
+        if self.axis == "planar" and not math.isfinite(self.alpha):
+            raise ValueError(f"planar measurement angle alpha = {self.alpha} must be finite")
         # canonicalize the azimuthal angle into (-pi, pi]
         a = math.pi - (math.pi - self.alpha) % (2.0 * math.pi)
         object.__setattr__(self, "alpha", 0.0 if self.axis == "z" else a)
@@ -239,6 +243,8 @@ def apply_cphase(state: PureState, qubit_a: int, qubit_b: int, theta: float = 0.
     _check_qubit(n, qubit_b)
     if qubit_a == qubit_b:
         raise ValueError("cphase needs two distinct qubits")
+    if not math.isfinite(theta):
+        raise ValueError(f"cphase deviation theta = {theta} must be finite")
     a, b = sorted((qubit_a, qubit_b))
     pre = 1 << (a - 1)
     mid = 1 << (b - a - 1)

@@ -181,6 +181,53 @@ def test_seeded_rows_equal_the_per_sample_loop(dist):
     assert (next(stream) == list(_seeded_rows(dist, 3, 1, 5))[0]).all()
 
 
+# Master seeds at the edges of SeedSequence's 32-bit words and past its 128-bit pool.
+RECORDED_SEEDS = (0, 2**32 - 1, 2**32 + 7, 2**64 - 1, 2**127 + 5, 2**130 + 3)
+# Recorded with numpy 2.4.6: per master seed, the (first, last) draw of rows 0 and 1 of
+# width 19, for flat(1.3) and gaussian(0.4). A width-1 row is that first draw alone.
+SEEDED_ROW_ENDS = {
+    "flat": [
+        ((0.5758188187477432, -0.0733757005564889), (0.23035591406763245, -0.23732741268596175)),
+        ((-0.5639254349076342, 0.0438449411591727), (-0.2011302786557822, -0.3164963545704209)),
+        ((0.17650793539813436, -0.27101239394346816), (-0.6337322997430892, 0.2231801790444019)),
+        ((-0.02880190385721526, -0.2833142458885362), (0.16458611370401777, 0.40824604237065076)),
+        ((-0.37678426771696627, -0.5060938662852117), (0.5583629810493252, 0.37886866386466245)),
+        ((-0.3207767245050511, -0.3798372684494178), (-0.20300906461030632, -0.12081918609825593)),
+    ],
+    "gaussian": [
+        ((0.5774763818792502, 0.33534160747838665), (0.32203578894969426, -0.21996738531270366)),
+        ((-0.36692497295362614, -0.12996092015632743), (-0.19272519825368103, -0.04558417527642129)),
+        ((-0.031066591358947755, 0.12328583584443623), (-0.04507386149800527, -0.1118840427461983)),
+        ((0.8905308999688333, -0.022086204924334746), (-0.007126030057907722, -0.17101152090320837)),
+        ((0.8578975208243804, -0.2810355049026323), (-0.13476765190186016, 0.39369257040308453)),
+        ((-0.025227077181511005, -0.7669882537109401), (0.35099753728143823, 0.1473628414593708)),
+    ],
+}
+STREAM_DISTS = [
+    PhaseDistribution.flat(1.3), PhaseDistribution.gaussian(0.4), PhaseDistribution.fixed(-0.7),
+]
+
+
+@pytest.mark.parametrize("width", [1, 19])
+@pytest.mark.parametrize("dist", STREAM_DISTS)
+def test_seeded_rows_keep_their_recorded_values(dist, width):
+    # every seeded output reads this stream: a NumPy change to SeedSequence or to the
+    # generators shows here rather than as silently moved figures
+    fixed = [((dist.param, dist.param),) * 2] * len(RECORDED_SEEDS)
+    for seed, ends in zip(RECORDED_SEEDS, SEEDED_ROW_ENDS.get(dist.kind, fixed), strict=True):
+        for row, (first, last) in zip(_seeded_rows(dist, width, 2, seed), ends, strict=True):
+            assert row.shape == (width,)
+            assert repr(row[0].item()) == repr(first), (seed, row)
+            assert repr(row[-1].item()) == repr(first if width == 1 else last), (seed, row)
+
+
+@pytest.mark.parametrize("dist", STREAM_DISTS)
+def test_seeded_rows_refuse_a_negative_master_seed(dist):
+    for seed in (-1, -(2**130)):
+        with pytest.raises(ValueError, match="non-negative"):  # NumPy's SeedSequence
+            next(_seeded_rows(dist, 3, 1, seed))
+
+
 # --- exact overlaps ---
 
 
@@ -244,6 +291,15 @@ def test_overlap_exact_equals_the_per_edge_loop_bit_for_bit():
             for given in (thetas, thetas.tolist()):
                 assert repr(overlap_exact(given)) == repr(overlap_exact_per_edge(given)), n
     assert repr(overlap_exact([-0.0, math.pi])) == repr(overlap_exact_per_edge([-0.0, math.pi]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [1024, 1025, 5000])
+def test_overlap_exact_at_any_length(n):
+    # 2.0**1024 overflows: site 1 and each edge carry their own factor 1/2
+    for theta in (0.0, 0.1, 0.5):
+        want = overlap_avg(PhaseDistribution.fixed(theta), n).mean_overlap
+        assert overlap_exact([theta] * (n - 1)) == pytest.approx(want, rel=1e-12)
 
 
 def test_overlap_tables_match_char_values():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from noisycluster.oneway import single_qubit_gate
 from noisycluster.states import (
     HADAMARD,
     IDENTITY_2,
@@ -220,6 +221,20 @@ def test_apply_cphase_guards():
         apply_cphase(st, 1, 1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_apply_cphase_refuses_a_non_finite_theta(bad):
+    # checked before np.exp, which would warn on inf and spread NaN through the register
+    st = random_state(np.random.default_rng(SEED), 2)
+    with pytest.raises(ValueError, match=r"^cphase deviation theta = .* must be finite$"):
+        apply_cphase(st, 1, 2, bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_phase_z_refuses_a_non_finite_angle(bad):
+    with pytest.raises(ValueError, match=r"^phase angle phi = .* must be finite$"):
+        phase_z(bad)
+
+
 def test_phase_z_matrix():
     np.testing.assert_allclose(phase_z(0.0), np.eye(2), atol=1e-15)
     np.testing.assert_allclose(
@@ -323,6 +338,17 @@ def test_measurement_basis_canonicalization():
         MeasurementBasis("diagonal", 0.0)
     assert MeasurementBasis.x().alpha == 0.0
     assert MeasurementBasis.y().alpha == pytest.approx(math.pi / 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_planar_basis_refuses_a_non_finite_angle(bad):
+    # a NaN alpha would reach measure's np.exp and divide; the z axis ignores alpha
+    message = r"^planar measurement angle alpha = .* must be finite$"
+    with pytest.raises(ValueError, match=message):
+        MeasurementBasis.planar(bad)
+    with pytest.raises(ValueError, match=message):
+        single_qubit_gate(bad, InputQubit.plus())
+    assert MeasurementBasis("z", bad).alpha == 0.0
 
 
 # --- overlaps and reductions ---

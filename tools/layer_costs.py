@@ -5,21 +5,21 @@
 The per-layer pass times one call of each engine piece in this process: each
 piece is called once to warm up, then ``--repeat`` times in a loop of as many
 calls as fit in ``--budget`` seconds; the median and minimum per-call times are
-recorded. The Monte Carlo pieces are reported per sample, from calls of
-``MC_SAMPLES`` samples. The seed stream alone, ``phasenoise._seeded_rows``
-(Gaussian 0.5, width 19), is timed the same way per row and recorded beside
-the layers as ``seeded_row``. The process pass runs each ``cluster-bench``
-subcommand at its defaults, and ``stabilizer-check`` on a 4 x 5 grid as well
-(``--no-meta``, output discarded), ``--repeat`` times in a fresh interpreter
-and records its wall and CPU time. The file
-also records the CPU count, the numpy and BLAS versions and the BLAS thread
-variables, as the benchmark's ``environment()`` (``bench/run.py``) reports them,
-and the median of ``CALIBRATION_CALLS`` calls of the benchmark's
-``calibration_s`` (``bench/run.py``) just before and just after the layer
-pass, with its reference time ``CALIBRATION_REF_S``: the layer times of two
-files compare only as far as these agree. Only the standard library and the
-package's own dependencies are used; a piece the imported package does not
-have is recorded as null.
+recorded. The Monte Carlo pieces, and ``seeded_row``, the seed stream alone,
+are reported per sample, from calls of ``MC_SAMPLES`` samples. The
+``chain_exact_round`` piece runs the benchmark's own chain-exact commands
+(``ChainExact.commands`` in ``bench/workloads.py``). The process pass runs each
+``cluster-bench`` subcommand at its defaults, and ``stabilizer-check`` on a
+4 x 5 grid as well (``--no-meta``, output discarded), ``--repeat`` times in a
+fresh interpreter and records its wall and CPU time. The file also records the
+CPU count, the numpy and BLAS versions and the BLAS thread variables, as the
+benchmark's ``environment()`` (``bench/run.py``) reports them, and the median
+of ``CALIBRATION_CALLS`` calls of the benchmark's ``calibration_s``
+(``bench/run.py``) just before and just after the layer pass, with its
+reference time ``CALIBRATION_REF_S``: the layer times of two files compare only
+as far as these agree. Only the standard library and the package's own
+dependencies are used; a piece the imported package does not have is recorded
+as null.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import importlib.util
 import io
 import json
 import math
-import resource
 import statistics
 import subprocess
 import sys
@@ -47,9 +46,10 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
-sys.path.insert(0, SRC)
+sys.path[:0] = [SRC, os.path.join(ROOT, "bench")]
 
 import numpy as np  # noqa: E402
+import workloads  # noqa: E402  (bench/workloads.py: the benchmark's rounds)
 
 from noisycluster import cli, clusters, entanglement, oneway, phasenoise, states  # noqa: E402
 
@@ -73,14 +73,6 @@ PROCESSES = {
     "stabilizer-check": ("stabilizer-check", "--graph", "{readme}"),
     "stabilizer-check.grid4x5": ("stabilizer-check", "--graph", "{grid4x5}"),
 }
-# one round of the benchmark's chain-exact workload (bench/workloads.py, ChainExact.commands)
-CHAIN_EXACT = (
-    ("fig-noise",),
-    ("fig-dephasing",),
-    ("concurrence-scan",),
-    ("concurrence-scan", "--n", "10"),
-    ("fig-dephasing", "--nmax", "32"),
-)
 
 
 def pieces() -> dict:
@@ -107,6 +99,12 @@ def pieces() -> dict:
     out["wire_sample"] = (
         "wire_fidelity_mc, 10 sites, Gaussian 0.5, per sample", MC_SAMPLES,
         lambda: oneway.wire_fidelity_mc(10, states.InputQubit.plus(), gauss, MC_SAMPLES, 42),
+    )
+    seeded_rows = getattr(phasenoise, "_seeded_rows", None)
+    out["seeded_row"] = (
+        "phasenoise._seeded_rows, Gaussian 0.5, width 19, per row", MC_SAMPLES,
+        seeded_rows
+        and (lambda: collections.deque(seeded_rows(gauss, 19, MC_SAMPLES, 42), maxlen=0)),
     )
     out["overlap_avg"] = ("flat 1.0, 10 sites", 1, lambda: phasenoise.overlap_avg(flat, 10))
     out["averaged_pair_state"] = ("10 sites, pair (3, 7), Gaussian 0.5", 1,
@@ -139,16 +137,8 @@ def pieces() -> dict:
     return out
 
 
-def seeded_row_piece() -> tuple:
-    """(what, rows per timed call, callable): the seed stream every Monte Carlo
-    estimate reads, one row of a ``MC_SAMPLES``-row stream at a time."""
-    gauss, rows = phasenoise.PhaseDistribution.gaussian(0.5), phasenoise._seeded_rows
-    return ("phasenoise._seeded_rows, Gaussian 0.5, width 19, per row", MC_SAMPLES,
-            lambda: collections.deque(rows(gauss, 19, MC_SAMPLES, 42), maxlen=0))
-
-
 def chain_exact_round() -> None:
-    for argv in CHAIN_EXACT:
+    for argv in workloads.ChainExact.commands:
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main([*argv, "--no-meta"])
         if code != 0:
@@ -200,11 +190,6 @@ def layer_pass(repeat: int, budget: float) -> dict:
     return {name: timed(piece, repeat, budget) for name, piece in pieces().items()}
 
 
-def children_cpu_s() -> float:
-    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return usage.ru_utime + usage.ru_stime
-
-
 def process_pass(repeat: int) -> dict:
     env = dict(os.environ, PYTHONPATH=SRC)
     out = {}
@@ -222,10 +207,10 @@ def process_pass(repeat: int) -> dict:
         for name, cmd in commands.items():
             walls, cpus = [], []
             for _ in range(repeat):
-                cpu0, start = children_cpu_s(), time.perf_counter()
+                cpu0, start = workloads.children_cpu_s(), time.perf_counter()
                 subprocess.run(cmd, env=env, check=True)
                 walls.append(time.perf_counter() - start)
-                cpus.append(children_cpu_s() - cpu0)
+                cpus.append(workloads.children_cpu_s() - cpu0)
             out[name] = {"wall_s": statistics.median(walls), "cpu_s": statistics.median(cpus),
                          "wall_s_runs": walls}
     return out
@@ -248,7 +233,6 @@ def main(argv: list[str] | None = None) -> int:
     }
     before = calibration_s(run)
     record["layers"] = layer_pass(args.repeat, args.budget)
-    record["seeded_row"] = timed(seeded_row_piece(), args.repeat, args.budget)
     record["calibration"] = {
         "ref_s": run.CALIBRATION_REF_S,
         "before_s": before,
