@@ -1,4 +1,4 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package, test or tool module imports is used in that module."""
 
 import ast
 import pathlib
@@ -6,6 +6,7 @@ import pathlib
 import noisycluster
 
 PACKAGE = pathlib.Path(noisycluster.__file__).parent
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 # bindings kept only so bench/spans.py can patch them where it looks them up
 TRACER_ONLY = {
@@ -46,7 +47,8 @@ def test_unused_imports_finds_what_it_should():
 def test_package_imports_are_all_used():
     found = {
         (path.stem, name)
-        for path in sorted(PACKAGE.glob("*.py"))
+        for directory in (PACKAGE, REPO / "tests", REPO / "tools")
+        for path in sorted(directory.glob("*.py"))
         for name in unused_imports(path.read_text(encoding="utf-8"))
     }
     # the allowlist stays exact: drop an entry once the tracer stops needing it
