@@ -210,7 +210,7 @@ _SQUASHED_I_MEASURED = (1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14)
 
 # X/Y assignment for the measured sites above, a frozen constant of the
 # squashed-I layout (Raussendorf, Browne & Briegel, PRA 68, 022312, 2003);
-# a test flips each letter and each exponent of the decoding below in turn.
+# tools/xy_search.py re-derives it and the decoding below; tests check both.
 _SQUASHED_I_XY = ("X", "Y", "Y", "Y", "Y", "Y", "Y", "X", "X", "X", "X", "X", "Y")
 # all-zero branch byproduct, per output (x exponent, z exponent)
 _SQUASHED_I_DECODING = ((0, 1), (0, 0))
