@@ -257,73 +257,6 @@ def test_cnot16_bridge_correction_rederivation():
     assert all((bras[s] == plain[s]).all() for s in plain if s not in (8, 12))
 
 
-# The guard of the frozen squashed-I letters and decoding: every ordered pair of
-# these probes decodes exactly, and any one flip of a letter or exponent loses.
-FLIP_PROBES = (
-    InputQubit.zero(),
-    InputQubit.one(),
-    InputQubit.plus(),
-    InputQubit(1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0)),
-    InputQubit(0.6, 0.8),
-)
-
-
-def worst_probe_fidelity(cfg):
-    """The smallest zero-noise all-zero-branch fidelity over the 25 probe pairs."""
-    zero = np.zeros((1, len(cfg.graph.edges)))
-    return min(
-        oneway._zero_branch_fidelities(cfg, dict(zip(cfg.input_sites, pair)), zero)[0]
-        for pair in itertools.product(FLIP_PROBES, repeat=2)
-    )
-
-
-def flip_pattern(pattern, flip):
-    """``pattern`` with ("site", s) measured in the other of X and Y (alpha to
-    pi/2 - alpha), or with ("decoding", output, k) toggling exponent k (0 for x,
-    1 for z) of that output's all-zero byproduct."""
-    if flip[0] == "site":
-        bases = dict(pattern.steps)
-        assert bases[flip[1]] in (MeasurementBasis.x(), MeasurementBasis.y())
-        steps = tuple(
-            (s, MeasurementBasis.planar(math.pi / 2 - b.alpha) if s == flip[1] else b)
-            for s, b in pattern.steps
-        )
-        return dataclasses.replace(pattern, steps=steps)
-    _, output, k = flip
-    key = (0,) * len(pattern.steps)
-    pairs = [list(pair) for pair in pattern.decoding[key]]
-    pairs[output][k] ^= 1
-    return dataclasses.replace(pattern, decoding={key: tuple(map(tuple, pairs))})
-
-
-def squashed_i_flips():
-    measured = oneway._SQUASHED_I_MEASURED
-    # site 8 of the bridged pattern is planar(pi), neither X nor Y: it has no flip
-    bridged = (16,) + tuple(s for s in measured if s != 8)
-    for make, sites in ((config_cnot15, measured), (config_cnot16_bridged, bridged)):
-        name = make.__name__.removeprefix("config_")
-        yield pytest.param(make, None, id=f"{name}-unflipped")
-        for s in sites:
-            yield pytest.param(make, ("site", s), id=f"{name}-site{s}")
-        for output, k in itertools.product((0, 1), repeat=2):
-            yield pytest.param(make, ("decoding", output, k), id=f"{name}-decoding{output}{'xz'[k]}")
-
-
-@pytest.mark.parametrize("make, flip", squashed_i_flips())
-def test_squashed_i_pattern_fails_every_single_flip(make, flip):
-    cfg = make()
-    if flip is None:
-        assert worst_probe_fidelity(cfg) == pytest.approx(1.0, rel=0, abs=1e-12)
-        return
-    flipped = dataclasses.replace(cfg, pattern=flip_pattern(cfg.pattern, flip))
-    try:
-        worst = worst_probe_fidelity(flipped)
-    except ValueError as err:  # the flip leaves the all-zero branch unrealizable
-        assert str(err).startswith("all-zero branch has probability")
-    else:  # a letter flip gives 1/2 exactly, up to rounding
-        assert worst <= 0.5 + 1e-12
-
-
 def test_cnot16_bridged_setup_runs_no_dense_engine(monkeypatch):
     def dense(*args, **kwargs):
         raise AssertionError("dense engine called")

@@ -221,25 +221,6 @@ def test_seeded_rows_keep_their_recorded_values(dist, width):
             assert repr(row[-1].item()) == repr(first if width == 1 else last), (seed, row)
 
 
-@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
-def test_seeded_rows_are_prefixes_and_gaussian_rows_scale(seed):
-    # one wide draw set can serve every narrower row and every sigma: a width-w row is
-    # the first w entries of a wider one, for all three kinds
-    for dist in STREAM_DISTS:
-        wide = list(_seeded_rows(dist, 19, 3, seed))
-        for width in (1, 7, 18):
-            for row, whole in zip(_seeded_rows(dist, width, 3, seed), wide, strict=True):
-                assert row.tobytes() == whole[:width].tobytes()
-    # and gaussian(sigma) rows are sigma times the gaussian(1) rows, bit for bit; NumPy
-    # adds the zero mean last, which turns the -0.0 of sigma = 0 into 0.0. There is no
-    # such rule for flat: uniform(-w/2, w/2) is not w times uniform(-1/2, 1/2) bitwise
-    unit = list(_seeded_rows(PhaseDistribution.gaussian(1.0), 19, 3, seed))
-    for sigma in (0.0, 0.1, 0.37, 1.0, 3.5):
-        rows = _seeded_rows(PhaseDistribution.gaussian(sigma), 19, 3, seed)
-        for row, base in zip(rows, unit, strict=True):
-            assert row.tobytes() == (sigma * base + 0.0).tobytes()
-
-
 @pytest.mark.parametrize("dist", STREAM_DISTS)
 def test_seeded_rows_refuse_a_negative_master_seed(dist):
     for seed in (-1, -(2**130)):
