@@ -15,7 +15,9 @@ every N off one prefix sweep; per-edge factors 1/2 and 1/4 keep any N finite.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -81,14 +83,79 @@ class PhaseDistribution:
         return float(draw) if size is None else draw
 
 
+# NumPy's SeedSequence hashing (uint32 words) and PCG64's 128-bit LCG multiplier
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# generate_state's hash constants INIT_B * MULT_B**i, i = 0..8
+_STATE_HASH = tuple(_INIT_B * pow(_MULT_B, i, 2**32) & _MASK32 for i in range(9))
+# held from "set state" to "draw" on the shared generator, never across a yield
+_GEN_LOCK = threading.Lock()
+
+
+@functools.cache
+def _shared_generator() -> tuple[np.random.PCG64, np.random.Generator]:
+    """One PCG64 and its Generator per process, reseeded for every row. Made on first use:
+    numpy loads ``numpy.random`` lazily, and a process that draws nothing skips its ~6 MB."""
+    bit_gen = np.random.PCG64(0)
+    return bit_gen, np.random.Generator(bit_gen)
+
+
+def _row_state(pool: Sequence[int], hash_const: int, k: int) -> tuple[int, int]:
+    """PCG64's (state, inc) when seeded by ``SeedSequence(master, spawn_key=(k,))``, from
+    ``SeedSequence(master).pool`` and the hash constant after the master's words."""
+    mixer = list(pool)
+    while True:  # mix_entropy over k's 32-bit words, least significant first
+        word = k & _MASK32
+        for i in range(4):
+            value = word ^ hash_const  # hashmix
+            hash_const = hash_const * _MULT_A & _MASK32
+            value = value * hash_const & _MASK32
+            value = (_MIX_MULT_L * mixer[i] - _MIX_MULT_R * (value ^ value >> 16)) & _MASK32
+            mixer[i] = value ^ value >> 16  # mix
+        k >>= 32
+        if not k:
+            break
+    # generate_state(4, uint64): word i is mixer[i % 4] hashed with h[i] and h[i + 1]
+    m0, m1, m2, m3 = mixer
+    h0, h1, h2, h3, h4, h5, h6, h7, h8 = _STATE_HASH
+    w0, w1 = (m0 ^ h0) * h1 & _MASK32, (m1 ^ h1) * h2 & _MASK32
+    w2, w3 = (m2 ^ h2) * h3 & _MASK32, (m3 ^ h3) * h4 & _MASK32
+    w4, w5 = (m0 ^ h4) * h5 & _MASK32, (m1 ^ h5) * h6 & _MASK32
+    w6, w7 = (m2 ^ h6) * h7 & _MASK32, (m3 ^ h7) * h8 & _MASK32
+    # uint64 j is w[2j] | w[2j + 1] << 32; pcg64_set_seed reads uint64s (0, 1), then (2, 3),
+    # as (high, low) halves of initstate and initseq
+    initstate = (w1 ^ w1 >> 16) << 96 | (w0 ^ w0 >> 16) << 64 | (w3 ^ w3 >> 16) << 32 \
+        | w2 ^ w2 >> 16
+    initseq = (w5 ^ w5 >> 16) << 96 | (w4 ^ w4 >> 16) << 64 | (w7 ^ w7 >> 16) << 32 \
+        | w6 ^ w6 >> 16
+    inc = initseq << 1 & _MASK128 | 1  # PCG64's srandom step
+    return ((inc + initstate) * _PCG64_MULT + inc) & _MASK128, inc
+
+
 def _seeded_rows(
     dist: PhaseDistribution, width: int, n_samples: int, master_seed: int
 ) -> Iterator[np.ndarray]:
-    """The stream every Monte Carlo estimate reads: row k is ``width`` draws from a generator
-    seeded by (master_seed, spawn_key=(k,)), made only when asked for."""
+    """The stream every Monte Carlo estimate reads: row k is ``width`` draws from
+    ``default_rng(SeedSequence(master_seed, spawn_key=(k,)))``, made only when asked for.
+
+    That generator is not built: ``SeedSequence(master_seed)`` is built once per call, and
+    row k's PCG64 state is derived from its pool by ``_row_state`` (NumPy's hashing and
+    PCG64's seeding step on Python ints), then set on one shared generator to draw the row.
+    The tests hold every row equal to NumPy's own construction."""
+    seq = np.random.SeedSequence(master_seed)  # refuses a negative seed, as NumPy does
+    pool, n_words = seq.pool.tolist(), math.ceil(int(seq.entropy).bit_length() / 32)
+    # mix_entropy has run 16 hashmix steps on the first four words and 4 on each later one
+    hash_const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, n_words - 4), 2**32) & _MASK32
+    bit_gen, gen = _shared_generator()
     for k in range(n_samples):
-        rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(k,)))
-        yield dist.sample(rng, width)
+        state, inc = _row_state(pool, hash_const, k)
+        with _GEN_LOCK:
+            bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                             "has_uint32": 0, "uinteger": 0}
+            row = dist.sample(gen, width)
+        yield row
 
 
 @dataclass(frozen=True)

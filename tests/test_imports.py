@@ -1,7 +1,11 @@
-"""Every name a package, test or tool module imports is used in that module."""
+"""Every name a package, test or tool module imports is used in that module, and the exact
+subcommands leave ``numpy.random`` unloaded."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import noisycluster
 
@@ -53,3 +57,21 @@ def test_package_imports_are_all_used():
     }
     # the allowlist stays exact: drop an entry once the tracer stops needing it
     assert found == TRACER_ONLY
+
+
+def test_exact_subcommands_leave_numpy_random_unloaded():
+    # numpy loads numpy.random on first use, about 6 MB of peak memory; only a draw needs it
+    code = (
+        "import contextlib, io, sys\n"
+        "from noisycluster import cli\n"
+        "for argv in (['fig-noise'], ['fig-dephasing'], ['concurrence-scan', '--n', '10']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main([*argv, '--no-meta']) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"

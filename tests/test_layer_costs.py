@@ -35,6 +35,7 @@ def test_layer_pass_writes_every_piece(tmp_path, monkeypatch):
         "mc_sample.cnot16_bridged",
         "wire_sample",
         "seeded_row",
+        "seeded_call",
         "overlap_avg",
         "averaged_pair_state",
         "concurrence",

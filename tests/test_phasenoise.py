@@ -6,6 +6,8 @@ sampling of the phase distributions.
 
 import io
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -226,6 +228,47 @@ def test_seeded_rows_refuse_a_negative_master_seed(dist):
     for seed in (-1, -(2**130)):
         with pytest.raises(ValueError, match="non-negative"):  # NumPy's SeedSequence
             next(_seeded_rows(dist, 3, 1, seed))
+
+
+@pytest.mark.parametrize(
+    "master", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**127 + 5, 2**128, 2**130 + 3, 7**60]
+)
+def test_row_state_is_numpys_seeding(master):
+    # spawn keys of one and of two 32-bit words, without drawing 2**32 rows
+    pool = np.random.SeedSequence(master).pool.tolist()
+    # the master's 32-bit words took 16 hashmix steps for the first four and 4 per later one
+    steps = 16 + 4 * max(0, math.ceil(master.bit_length() / 32) - 4)
+    hash_const = phasenoise._INIT_A * pow(phasenoise._MULT_A, steps, 2**32) % 2**32
+    for k in (0, 1, 2**32 - 1, 2**32, 2**40 + 3):
+        expect = np.random.PCG64(np.random.SeedSequence(master, spawn_key=(k,))).state["state"]
+        state, inc = phasenoise._row_state(pool, hash_const, k)
+        assert (state, inc) == (expect["state"], expect["inc"]), (master, k)
+
+
+def test_seeded_rows_interleaved_equal_one_after_the_other():
+    # every stream reseeds the one shared generator per row
+    streams = [(PhaseDistribution.flat(1.3), 7), (PhaseDistribution.gaussian(0.4), 2**64 - 1)]
+    zipped = list(zip(*(_seeded_rows(dist, 15, 50, seed) for dist, seed in streams)))
+    for j, (dist, seed) in enumerate(streams):
+        serial = list(_seeded_rows(dist, 15, 50, seed))
+        assert all((row[j] == expect).all() for row, expect in zip(zipped, serial, strict=True))
+
+
+def test_seeded_rows_from_threads_equal_the_serial_draws():
+    dist, masters = PhaseDistribution.gaussian(0.4), (3, 2**32, 2**130 + 3, 42)
+
+    def draw(master):
+        return np.array(list(_seeded_rows(dist, 15, 200, master)))
+
+    serial, interval = [draw(m) for m in masters], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # let the threads switch inside a row, not only between calls
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(draw, masters, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for got, expect in zip(threaded, serial, strict=True):
+        assert np.array_equal(got, expect)
 
 
 # --- exact overlaps ---

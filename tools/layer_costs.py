@@ -6,7 +6,9 @@ The per-layer pass times one call of each engine piece in this process: each
 piece is called once to warm up, then ``--repeat`` times in a loop of as many
 calls as fit in ``--budget`` seconds; the median and minimum per-call times are
 recorded. The Monte Carlo pieces, and ``seeded_row``, the seed stream alone,
-are reported per sample, from calls of ``MC_SAMPLES`` samples. The
+are reported per sample, from calls of ``MC_SAMPLES`` samples; ``seeded_call``
+is one whole call of the stream for two rows of width 15, the seed cost of a
+two-sample ``wire_fidelity_mc`` call as the benchmark's ``wire-long`` makes. The
 ``chain_exact_round`` piece runs the benchmark's own chain-exact commands
 (``ChainExact.commands`` in ``bench/workloads.py``). The process pass runs each
 ``cluster-bench`` subcommand at its defaults, and ``stabilizer-check`` on a
@@ -105,6 +107,10 @@ def pieces() -> dict:
         "phasenoise._seeded_rows, Gaussian 0.5, width 19, per row", MC_SAMPLES,
         seeded_rows
         and (lambda: collections.deque(seeded_rows(gauss, 19, MC_SAMPLES, 42), maxlen=0)),
+    )
+    out["seeded_call"] = (
+        "phasenoise._seeded_rows, Gaussian 0.5, two rows of width 15, per call", 1,
+        seeded_rows and (lambda: collections.deque(seeded_rows(gauss, 15, 2, 42), maxlen=0)),
     )
     out["overlap_avg"] = ("flat 1.0, 10 sites", 1, lambda: phasenoise.overlap_avg(flat, 10))
     out["averaged_pair_state"] = ("10 sites, pair (3, 7), Gaussian 0.5", 1,
