@@ -78,13 +78,18 @@ class ResultTable:
 # --- experiment implementations ---------------------------------------------
 
 
+def _check_scan_rows(rows: int, what: str, why: str) -> None:
+    """Refuse, before its sweep, a table of more than ``_MAX_SCAN_ROWS`` rows (read per call)."""
+    if rows > _MAX_SCAN_ROWS:
+        raise ValueError(f"{what} exceeds {_MAX_SCAN_ROWS} rows ({why})")
+
+
 def _run_fig_noise(args: argparse.Namespace) -> list[tuple]:
     sizes = range(3, 11)
-    if len(sizes) * len(args.grid) > _MAX_SCAN_ROWS:
-        raise ValueError(
-            f"fig-noise on {len(args.grid)} grid points exceeds {_MAX_SCAN_ROWS} rows "
-            f"({len(sizes)} chain sizes x grid points)"
-        )
+    _check_scan_rows(
+        len(sizes) * len(args.grid), f"fig-noise on {len(args.grid)} grid points",
+        f"{len(sizes)} chain sizes x grid points",
+    )
     dists = [PhaseDistribution.flat(float(lam)) for lam in args.grid]
     lambdas, rows = [dist.param for dist in dists], []
     for n, (_, fidelity_of_mean, mean_fidelity) in zip(sizes, _overlap_rows(dists, sizes)):
@@ -96,11 +101,10 @@ def _run_fig_dephasing(args: argparse.Namespace) -> list[tuple]:
     if args.nmax < 3:
         raise ValueError("nmax must be >= 3")
     families = ("w", "ghz", "linear_cluster", "square_cluster")
-    if len(families) * (args.nmax - 2) > _MAX_SCAN_ROWS:
-        raise ValueError(
-            f"fig-dephasing to nmax {args.nmax} exceeds {_MAX_SCAN_ROWS} rows "
-            f"({len(families)} families x N)"
-        )
+    _check_scan_rows(
+        len(families) * (args.nmax - 2), f"fig-dephasing to nmax {args.nmax}",
+        f"{len(families)} families x N",
+    )
     sizes, gamma = range(3, args.nmax + 1), args.gamma
     return [(fam, n, gamma, dephasing_fidelity(fam, n, gamma)) for fam in families for n in sizes]
 
@@ -118,11 +122,10 @@ def _run_fig_cnot(args: argparse.Namespace) -> list[tuple]:
 
 def _run_concurrence_scan(args: argparse.Namespace) -> list[tuple]:
     n, grid = args.n, args.grid
-    if max(n, 0) * max(n - 1, 0) // 2 * len(grid) > _MAX_SCAN_ROWS:
-        raise ValueError(
-            f"concurrence-scan of {n} sites on {len(grid)} grid points exceeds "
-            f"{_MAX_SCAN_ROWS} rows (pairs x grid points)"
-        )
+    _check_scan_rows(
+        max(n, 0) * max(n - 1, 0) // 2 * len(grid),
+        f"concurrence-scan of {n} sites on {len(grid)} grid points", "pairs x grid points",
+    )
     sigmas = [float(sigma) for sigma in grid]
     pairs, concurrences, ppt = _pair_grid(n, [PhaseDistribution.gaussian(s) for s in sigmas])
     sigma_column = itertools.chain.from_iterable(itertools.repeat(s, len(pairs)) for s in sigmas)

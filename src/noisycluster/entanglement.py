@@ -21,7 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .phasenoise import PhaseDistribution, _char_rows, _edge_tables, _seeded_rows
+from .phasenoise import (
+    PhaseDistribution, _char_rows, _check_finite_phases, _edge_tables, _seeded_rows
+)
 from .states import DensityMatrix, PAULI_Y, _check_hermitian_unit_trace, _check_psd
 
 ENTANGLEMENT_TOL = 1e-9
@@ -236,8 +238,7 @@ def sampled_mean_concurrence(
         raise ValueError("need at least one sample")
     total = 0.0
     for row in _seeded_rows(dist, n - 1, n_samples, seed):
-        if not np.isfinite(row).all():  # an infinite draw would turn to NaN in np.exp
-            raise ValueError("edge phases must be finite")
+        _check_finite_phases(row)
         transfers = _edge_tables(np.exp(1j * np.multiply.outer(row, (-1, 0, 1))), "doubled")
         total += concurrence(DensityMatrix(2, _pair_states(n, transfers[None], [pair])[0, 0]))
     return total / n_samples

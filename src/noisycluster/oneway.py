@@ -28,7 +28,7 @@ from .clusters import (
     clifford_group_1q,
     derive_local_correction,  # noqa: F401  unused here; bench/spans.py traces it on this module
 )
-from .phasenoise import PhaseDistribution, _seeded_rows
+from .phasenoise import PhaseDistribution, _check_finite_phases, _seeded_rows
 from .states import (
     FORCE_PROB_ATOL,
     HADAMARD,
@@ -116,12 +116,12 @@ class GateConfig:
         for (x_exp, z_exp), frame in zip(pattern.decoding[key], self.output_frame):
             local = frame @ (PAULI_Z if z_exp else IDENTITY_2)
             decode = np.kron(decode, local @ (PAULI_X if x_exp else IDENTITY_2))
-        # sublist labels: site k is k, the batch axis is num_sites
+        # sublist labels: site k is k, the batch axis is num_sites and only edges carry it
         pos = {site: k for k, site in enumerate(graph.sites)}
         batch = graph.num_sites
         labels = [[k] for k in range(batch)]
         labels += [[batch, pos[a], pos[b]] for a, b in graph.edges]
-        labels.append([batch] + [pos[s] for s in pattern.outputs])
+        labels.append(([batch] if graph.edges else []) + [pos[s] for s in pattern.outputs])
         # the path is fixed for 64 rows; any row count contracts along it
         probe = [_PLUS] * batch + [np.ones((64, 2, 2))] * len(graph.edges)
         probe_operands = itertools.chain(*zip(probe, labels), [labels[-1]])
@@ -380,13 +380,13 @@ def _zero_branch_fidelities(
     """Fidelity of the decoded all-zero branch for each row of edge phases.
 
     ``thetas`` has one row per sample and one column per edge of
-    ``config.graph.edges``. A non-finite phase, or a branch of probability
-    below ``FORCE_PROB_ATOL`` (or NaN), cannot be realized and raises ``ValueError``.
+    ``config.graph.edges``. A non-finite phase, or a branch of probability below
+    ``FORCE_PROB_ATOL`` times its zero-noise value 2^-m for m measured sites (or NaN),
+    cannot be realized and raises ``ValueError``.
     """
     if set(inputs) != set(config.input_sites):
         raise ValueError(f"inputs must cover sites {config.input_sites}")
-    if not np.isfinite(thetas).all():  # an infinite draw would turn to NaN in np.exp
-        raise ValueError("edge phases must be finite")
+    _check_finite_phases(thetas)
     bras, decode, labels, path = config._zero_branch
     vectors = [
         (inputs[s].as_array() if s in inputs else _PLUS) * bras.get(s, 1.0)
@@ -396,9 +396,10 @@ def _zero_branch_fidelities(
     edges[..., 1, 1] = -np.exp(1j * thetas)
     operands = zip(vectors + list(np.moveaxis(edges, 1, 0)), labels)
     out = np.einsum(*itertools.chain(*operands), labels[-1], optimize=path)
-    out = out.reshape(len(thetas), -1)
+    # an edgeless network contracts to one row, the same for every sample
+    out = np.broadcast_to(out.reshape(-1, len(decode)), (len(thetas), len(decode)))
     probability = np.einsum("bi,bi->b", out.conj(), out).real
-    if not (probability >= FORCE_PROB_ATOL).all():  # NaN fails too
+    if not (probability >= FORCE_PROB_ATOL * 0.5 ** len(config.pattern.steps)).all():  # NaN too
         raise ValueError(f"all-zero branch has probability {probability.min():.3e}")
     target = decode.conj().T @ config.ideal_gate @ _logical_input_state(config, inputs)
     return np.abs(out @ target.conj()) ** 2 / probability
@@ -447,7 +448,7 @@ def gate_fidelity_mc(
     """
     _check_sample_count(n_samples)
     width = len(config.graph.edges)
-    thetas = np.array(list(_seeded_rows(dist, width, n_samples, master_seed))).reshape(-1, width)
+    thetas = np.array(list(_seeded_rows(dist, width, n_samples, master_seed)))
     return _stats_from_samples(_zero_branch_fidelities(config, inputs, thetas), master_seed)
 
 
@@ -504,9 +505,8 @@ def _wire_kernel(
             if not abs(norm - 1.0) <= NORM_ATOL:  # NaN fails too
                 raise ValueError(f"state not normalized: |amp|^2 = {norm}")
     except ValueError:  # math.cos fails on an infinite phase, and a NaN one unnormalizes
-        if all(map(math.isfinite, thetas)):
-            raise
-        raise ValueError("edge phases must be finite") from None
+        _check_finite_phases(thetas)
+        raise
     amplitudes = np.array([c0, c1])
     return amplitudes, float(abs(np.vdot(qubit.as_array(), amplitudes)) ** 2)
 

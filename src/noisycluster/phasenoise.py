@@ -23,6 +23,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .states import _check_gamma
+
 RANGE_ATOL = 1e-9
 
 
@@ -206,13 +208,18 @@ def _edge_tables(char: np.ndarray, kind: str) -> np.ndarray:
     return (char * (-1, 1, -1) if kind == "doubled" else char)[..., _PAIR_CHAR_INDEX]
 
 
+def _check_finite_phases(thetas) -> None:
+    """Refuse non-finite edge phases; ``from None`` hides the wire kernel's error, if any."""
+    if not np.isfinite(thetas).all():  # np.exp would warn and turn the phase into NaN
+        raise ValueError("edge phases must be finite") from None
+
+
 def overlap_exact(thetas: Sequence[float]) -> complex:
     """f_N for explicit per-edge deviations (chain of len(thetas)+1 sites)."""
     n = len(thetas) + 1
     if n < 2:
         raise ValueError("need at least one edge")
-    if not np.isfinite(thetas).all():  # np.exp would warn and turn the overlap into NaN
-        raise ValueError("edge phases must be finite")
+    _check_finite_phases(thetas)
     char = np.exp(1j * np.multiply.outer(thetas, (-1, 0, 1)))
     u, v = np.ones(2, dtype=complex), np.full(2, 0.5 + 0j)  # 1/2 per site: no 2**-n to overflow
     for m in np.ascontiguousarray(0.5 * _edge_tables(char, "overlap")):
@@ -278,8 +285,7 @@ def dephasing_fidelity(family: str, n: int, gamma: float) -> float:
     which is the value used in tests (a figure caption quoting 0.5 for
     these parameters is inconsistent with the formula).
     """
-    if not gamma >= 0.0:  # NaN fails too; gamma = inf is full dephasing
-        raise ValueError("gamma must be >= 0")
+    _check_gamma(gamma)
     g = math.exp(-gamma)
     if family == "single_plus":
         if n != 1:

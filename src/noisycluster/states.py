@@ -152,8 +152,12 @@ class DephasingChannel:
     gamma: float
 
     def __post_init__(self) -> None:
-        if not self.gamma >= 0.0:  # NaN fails too; gamma = inf is full dephasing
-            raise ValueError("gamma must be >= 0")
+        _check_gamma(self.gamma)
+
+
+def _check_gamma(gamma: float) -> None:
+    if not gamma >= 0.0:  # NaN fails too; gamma = inf is full dephasing
+        raise ValueError("gamma must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -370,8 +374,7 @@ def dephase(rho: DensityMatrix, channel: DephasingChannel) -> DensityMatrix:
 
 def dephasing_kraus(gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Single-qubit Kraus pair {sqrt(p) I, sqrt(1-p) Z}, p = (1 + e^-gamma)/2."""
-    if not gamma >= 0.0:  # NaN fails too; gamma = inf is full dephasing
-        raise ValueError("gamma must be >= 0")
+    _check_gamma(gamma)
     p = 0.5 * (1.0 + math.exp(-gamma))
     return math.sqrt(p) * IDENTITY_2, math.sqrt(1.0 - p) * PAULI_Z
 

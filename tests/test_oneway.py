@@ -1094,8 +1094,26 @@ def ring_cnot4():
     return dataclasses.replace(cfg, name="cnot4_ring", graph=ring)
 
 
+def z_tail_cnot4():
+    """cnot4 with a site 5 on site 4, Z-measured last: outcome 0 leaves site 4 alone."""
+    cfg = config_cnot4()
+    steps = cfg.pattern.steps + ((5, MeasurementBasis.z()),)
+    pattern = MeasurementPattern(steps, cfg.pattern.outputs, {(0, 0, 0): ((0, 0), (0, 0))})
+    return dataclasses.replace(cfg, name="cnot4_z_tail", graph=chain_graph(5), pattern=pattern)
+
+
+def edgeless_pair():
+    """Two unentangled sites and nothing measured: the identity on both."""
+    pattern = MeasurementPattern((), (1, 2), {(): ((0, 0), (0, 0))})
+    graph = ClusterGraph((1, 2), (), {}, {})
+    return GateConfig("edgeless", graph, (1, 2), pattern, np.eye(4), (states.IDENTITY_2,) * 2)
+
+
 @pytest.mark.parametrize("sigma", [0.25, 0.5, 1.0])
-@pytest.mark.parametrize("make", [config_cnot4, config_cnot15, config_cnot16_bridged, ring_cnot4])
+@pytest.mark.parametrize(
+    "make",
+    [config_cnot4, config_cnot15, config_cnot16_bridged, ring_cnot4, z_tail_cnot4, edgeless_pair],
+)
 def test_contraction_matches_dense_run_gate(make, sigma):
     cfg = make()
     rng = np.random.default_rng(SEED)
@@ -1103,6 +1121,47 @@ def test_contraction_matches_dense_run_gate(make, sigma):
     thetas = rng.normal(0.0, sigma, (32, len(cfg.graph.edges)))
     got = oneway._zero_branch_fidelities(cfg, inputs, thetas)
     np.testing.assert_allclose(got, dense_fidelities(cfg, inputs, thetas), rtol=0, atol=1e-12)
+
+
+def test_gate_fidelity_mc_runs_an_edgeless_config():
+    # no edge carries the batch axis, and every row of phases is empty
+    inputs = {1: InputQubit(0.6, 0.8), 2: InputQubit.plus()}
+    stats = gate_fidelity_mc(edgeless_pair(), inputs, PhaseDistribution.gaussian(0.5), 50, SEED)
+    assert stats.mean == pytest.approx(1.0, abs=1e-15)
+    assert stats.stderr == pytest.approx(0.0, abs=1e-15)
+
+
+def wire_config(n):
+    """The n-site wire of ``wire_transfer`` as a gate pattern: X on sites 1..n-1."""
+    steps = tuple((site, MeasurementBasis.x()) for site in range(1, n))
+    pattern = MeasurementPattern(steps, (n,), {(0,) * (n - 1): ((0, 0),)})
+    frame = oneway._wire_correction(n, (0,) * (n - 1)).matrices[0]
+    return GateConfig(f"wire{n}", chain_graph(n), (1,), pattern, np.eye(2), (frame,))
+
+
+@pytest.mark.parametrize("n", [41, 45, 51])
+def test_contraction_realizes_long_wires(n):
+    # the all-zero branch of m X measurements has probability 2^-m at zero noise, below
+    # FORCE_PROB_ATOL from m = 40 on; the floor scales with it
+    cfg, qubit = wire_config(n), InputQubit(0.6, 0.8)
+    assert gate_fidelity_once(cfg, {1: qubit}) == pytest.approx(1.0, abs=1e-12)
+    thetas = np.random.default_rng(SEED).normal(0.0, 0.5, (8, n - 1))
+    got = oneway._zero_branch_fidelities(cfg, {1: qubit}, thetas)
+    expect = [wire_transfer(n, qubit, row)[1] for row in thetas]
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+    dist = PhaseDistribution.gaussian(0.5)  # the same seed stream feeds both drivers
+    gate = gate_fidelity_mc(cfg, {1: qubit}, dist, 64, 3)
+    assert gate.mean == pytest.approx(wire_fidelity_mc(n, qubit, dist, 64, 3).mean, abs=1e-12)
+
+
+def test_contraction_floor_still_refuses_an_unrealizable_branch():
+    # Y -> X on site 8 of the squashed-I pattern: with inputs |0> and |-> the all-zero
+    # branch has probability about 1.5e-64, far below 2^-13 FORCE_PROB_ATOL
+    cfg = config_cnot15()
+    steps = tuple((s, MeasurementBasis.x() if s == 8 else b) for s, b in cfg.pattern.steps)
+    flipped = dataclasses.replace(cfg, pattern=dataclasses.replace(cfg.pattern, steps=steps))
+    with pytest.raises(ValueError, match=r"^all-zero branch has probability 1\.4\d\de-64$"):
+        gate_fidelity_once(flipped, {1: InputQubit.zero(), 9: InputQubit.minus()})
 
 
 def test_gate_fidelity_once_theta_handling():
@@ -1126,6 +1185,14 @@ def test_gate_fidelity_once_theta_handling():
         assert gate_fidelity_once(noisy, skewed, thetas) == gate_fidelity_once(
             noisy, skewed, forward
         ) != gate_fidelity_once(noisy, skewed)
+
+
+def test_contraction_needs_an_all_zero_decoding_entry():
+    cfg = config_cnot4()
+    decoding = {key: pairs for key, pairs in cfg.pattern.decoding.items() if any(key)}
+    partial = dataclasses.replace(cfg, pattern=dataclasses.replace(cfg.pattern, decoding=decoding))
+    with pytest.raises(ValueError, match=r"^no decoding entry for outcomes \(0, 0\)$"):
+        gate_fidelity_once(partial, {1: InputQubit.plus(), 3: InputQubit.zero()})
 
 
 def test_contraction_site_cap():

@@ -95,6 +95,10 @@ def test_density_matrix_validation():
     # hermitian, unit trace, but indefinite
     with pytest.raises(ValueError, match="negative eigenvalue"):
         DensityMatrix(1, np.array([[1.5, 0.0], [0.0, -0.5]]))
+    with pytest.raises(ValueError, match=r"^num_qubits 0 outside \[1, 12\]$"):
+        DensityMatrix(0, np.ones((1, 1)))
+    with pytest.raises(ValueError, match=r"^shape \(4, 4\) != \(2, 2\)$"):
+        DensityMatrix(1, np.eye(4) / 4)
 
 
 
@@ -414,6 +418,9 @@ def test_partial_trace_guards():
         partial_trace(st, (1, 1))
     with pytest.raises(ValueError, match="outside register"):
         partial_trace(st, (4,))
+    register = init_register([InputQubit.plus()] * 13)
+    with pytest.raises(ValueError, match="^cannot keep more than 12 qubits dense$"):
+        partial_trace(register, range(1, 14))
 
 
 def test_pure_to_density_empty_register_raises():
@@ -478,3 +485,10 @@ def test_fidelity_pure_mixed():
     assert fidelity_pure_mixed(psi, rho) == pytest.approx(1.0)
     with pytest.raises(ValueError, match="sizes differ"):
         fidelity_pure_mixed(random_state(rng, 3), rho)
+    # each matrix passes DensityMatrix's own tolerances (hermitian to 1e-9, PSD to -1e-8)
+    skew = DensityMatrix(1, [[0.5, 4e-10j], [4e-10j, 0.5]])
+    with pytest.raises(ValueError, match=r"^fidelity has imaginary part 4\.000e-10$"):
+        fidelity_pure_mixed(PureState(1, np.array([1.0, 1.0]) / math.sqrt(2.0)), skew)
+    over = DensityMatrix(1, np.diag([1.0 + 5e-9, -5e-9]))
+    with pytest.raises(ValueError, match=r"^fidelity 1\.000000005 outside \[0, 1\]$"):
+        fidelity_pure_mixed(PureState(1, np.array([1.0, 0.0])), over)

@@ -1,31 +1,22 @@
 """Exhaustive X/Y measurement-pattern search, and a re-derivation of the squashed-I CNOT.
 
-    python3 tools/xy_search.py
-
 The package's squashed-I pattern (``oneway._SQUASHED_I_XY`` and
 ``_SQUASHED_I_DECODING``) is a frozen constant; this search is how it was
-found, kept outside the package. Run as a script, it searches every X/Y
-assignment of the 13 measured sites of ``config_cnot15`` and prints the first
-one that realizes the CNOT with its all-zero decoding; the exit code is 0 when
-that matches the frozen pattern and 1 when it does not. The tests import
-``derive_xy_pattern`` from here and compare it with a dense per-candidate search.
+found, kept outside the package. The tests import ``derive_xy_pattern`` from
+here, compare it with a dense per-candidate search, and re-run it over the 13
+measured sites of ``config_cnot15`` to re-derive the frozen pattern.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-import sys
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-from noisycluster.clusters import ClusterGraph, build_cluster  # noqa: E402
-from noisycluster.oneway import MeasurementPattern, config_cnot15  # noqa: E402
-from noisycluster.states import (  # noqa: E402
+from noisycluster.clusters import ClusterGraph, build_cluster
+from noisycluster.oneway import MeasurementPattern
+from noisycluster.states import (
     FORCE_PROB_ATOL,
     IDENTITY_2,
     PAULI_X,
@@ -122,21 +113,3 @@ def derive_xy_pattern(
         outputs=tuple(outputs),
         decoding={(0,) * len(measured): (PAULI_EXPONENTS[p1], PAULI_EXPONENTS[p2])},
     )
-
-
-def main() -> int:
-    cfg = config_cnot15()
-    found = derive_xy_pattern(
-        cfg.graph, cfg.input_sites, cfg.pattern.outputs, cfg.ideal_gate, cfg.output_frame
-    )
-    labels = "".join("X" if b == MeasurementBasis.x() else "Y" for _, b in found.steps)
-    print(f"measured sites {found.measured_sites()}")
-    print(f"X/Y assignment {labels}")
-    print(f"all-zero decoding {found.decoding[(0,) * len(found.steps)]}")
-    same = found.steps == cfg.pattern.steps and dict(found.decoding) == dict(cfg.pattern.decoding)
-    print("matches config_cnot15" if same else "differs from config_cnot15")
-    return 0 if same else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
