@@ -71,9 +71,9 @@ class ClusterGraph:
                 raise ValueError(f"edge ({a}, {b}) uses unknown site")
         if stray := self.kappa.keys() - known:
             raise ValueError(f"kappa given for unknown site {min(stray)}")
-        kappa = {s: int(self.kappa.get(s, 0)) for s in sites}
-        if any(v not in (0, 1) for v in kappa.values()):
+        if any(v not in (0, 1) for v in self.kappa.values()):
             raise ValueError("kappa values must be 0 or 1")
+        kappa = {s: int(self.kappa.get(s, 0)) for s in sites}
         # theta keys are unordered pairs: (b, a) sets edge (a, b)
         given = {tuple(sorted(e)): t for e, t in self.edge_theta.items()}
         if len(given) < len(self.edge_theta):

@@ -116,6 +116,7 @@ def _pair_classes(
 ) -> tuple[int, list[tuple[int, int]], list[int]]:
     """Class representatives of the ``pairs`` of an n-site uniform chain.
 
+    Classes follow the locality of graph-state stabilizers (Hein, Eisert & Briegel 2004).
     Pair (i, j) is in class (i == 1, j == n, min(j - i, 3)). Returns m = min(n, 6),
     one representative pair on the m-site chain per class that occurs there (all ten
     classes for n >= 6), and the index of each pair's representative. On a uniform

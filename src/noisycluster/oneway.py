@@ -297,12 +297,12 @@ def _forced_outcomes(
         if rng is None:
             raise ValueError("sampling outcomes needs rng=")
         return None
-    forced = tuple(int(b) for b in outcomes)
+    forced = tuple(outcomes)
     if len(forced) != count:
         raise ValueError("one outcome per measurement required")
     if any(b not in (0, 1) for b in forced):
         raise ValueError("forced outcome must be 0 or 1")
-    return forced
+    return tuple(map(int, forced))
 
 
 def run_gate(

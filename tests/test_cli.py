@@ -17,6 +17,10 @@ from noisycluster.entanglement import pair_scan_grid
 from noisycluster.phasenoise import PhaseDistribution, dephasing_fidelity, overlap_scan
 
 
+# README's example graph: a 3-site chain with one flipped correlation sign and a noisy edge
+README_GRAPH = "site 1\nsite 2\nsite 3\nedge 1 2\nedge 2 3 0.25\nkappa 2 1\n"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -360,7 +364,7 @@ def test_row_templates_equal_the_per_cell_chain_off_the_defaults(kind, params):
 def test_row_template_of_a_failed_stabilizer_check(tmp_path):
     # README's graph: the noisy edge moves the eigenvalues of sites 2 and 3 off their signs
     graph = tmp_path / "chain.graph"
-    graph.write_text("site 1\nsite 2\nsite 3\nedge 1 2\nedge 2 3 0.25\nkappa 2 1\n")
+    graph.write_text(README_GRAPH)
     table = run_experiment(parse("stabilizer-check", "--graph", graph))
     assert written(table).endswith("\n" + legacy_rows(table))
     assert [row.rsplit(",", 1)[1] for row in legacy_rows(table).splitlines()] == ["1", "0", "0"]
@@ -743,7 +747,7 @@ def test_stabilizer_check_runs_past_the_dense_register_cap(tmp_path, capsys):
 def test_stabilizer_check_ok_cells_follow_the_library_tolerance(tmp_path, capsys, monkeypatch):
     # README's graph: sites 2 and 3 sit 0.0155 off their signs, through the noisy edge
     graph = tmp_path / "chain.graph"
-    graph.write_text("site 1\nsite 2\nsite 3\nedge 1 2\nedge 2 3 0.25\nkappa 2 1\n")
+    graph.write_text(README_GRAPH)
     for atol, cells, passed in ((1e-8, ["1", "0", "0"], False), (0.1, ["1", "1", "1"], True)):
         monkeypatch.setattr(clusters, "STABILIZER_ATOL", atol)
         code, out, _ = run_cli(capsys, "stabilizer-check", "--graph", str(graph), "--no-meta")
@@ -774,7 +778,7 @@ def test_no_subcommand_builds_a_state_vector(tmp_path, capsys, monkeypatch, kind
         monkeypatch.setattr(module, "init_register", dense)
     # README's graph: a flipped sign and a noisy edge
     graph = tmp_path / "chain.graph"
-    graph.write_text("site 1\nsite 2\nsite 3\nedge 1 2\nedge 2 3 0.25\nkappa 2 1\n")
+    graph.write_text(README_GRAPH)
     argv = [arg.format(graph=graph) for arg in SMALL_ARGV[kind]]
     code, out, err = run_cli(capsys, kind, *argv, "--no-meta")
     assert code == 0, err
@@ -806,7 +810,7 @@ def test_defaults_written_out_as_help_shows_them_change_nothing(
     monkeypatch.setattr(cli, "wire_fidelity_mc", draws)
     # README's graph, for the one required option
     graph = tmp_path / "chain.graph"
-    graph.write_text("site 1\nsite 2\nsite 3\nedge 1 2\nedge 2 3 0.25\nkappa 2 1\n")
+    graph.write_text(README_GRAPH)
     required = ("--graph", str(graph)) if kind == "stabilizer-check" else ()
     code, text, _ = run_cli(capsys, kind, "--help")
     assert code == 0

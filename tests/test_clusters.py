@@ -138,6 +138,16 @@ def test_graph_data_off_the_graph_is_refused(kappa, theta, message):
         ClusterGraph((1, 2), ((2, 1),), kappa, theta)
 
 
+def test_kappa_values_are_checked_before_conversion():
+    # 0.7 and "1" would become 0 and 1 under int(); they are refused instead
+    for value in (0.7, "1", 1.5, None):
+        with pytest.raises(ValueError, match="^kappa values must be 0 or 1$"):
+            ClusterGraph((1, 2), ((1, 2),), {1: value}, {})
+    for value in (True, np.int64(1), 1.0):
+        kappa = ClusterGraph((1, 2), ((1, 2),), {1: value}, {}).kappa
+        assert kappa == {1: 1, 2: 0} and type(kappa[1]) is int
+
+
 def test_edges_are_normalized_and_deduped():
     g = ClusterGraph((1, 2, 3), ((3, 1), (1, 3), (2, 3)), {}, {})
     assert g.edges == ((1, 3), (2, 3))

@@ -589,6 +589,23 @@ def test_wire_all_forced_branches():
             assert fid == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("route", ["run_gate", "wire_transfer"])
+def test_fractional_forced_outcomes_are_refused(route):
+    # refused as states.measure refuses force=0.4, not truncated to a bit by int()
+    inputs = {1: InputQubit.plus(), 3: InputQubit.zero()}
+    if route == "run_gate":
+        def amplitudes(outcomes):
+            return run_gate(config_cnot4(), inputs, outcomes=outcomes).state.amplitudes
+    else:
+        def amplitudes(outcomes):
+            return wire_transfer(3, InputQubit.plus(), outcomes=outcomes)[0].amplitudes
+    for bad in ((1.7, 0), (0.6, 1.2), (0, "1"), (0, float("nan"))):
+        with pytest.raises(ValueError, match="^forced outcome must be 0 or 1$"):
+            amplitudes(bad)
+    for same in ((True, 0), (np.int64(1), 0), (1.0, 0.0)):
+        assert np.array_equal(amplitudes(same), amplitudes((1, 0)))
+
+
 def test_wire_single_edge_closed_form():
     # plus input, one noisy edge: fidelity 2 / (3 - cos theta)
     for theta in np.linspace(0.0, 2.0 * math.pi, 17):
